@@ -625,17 +625,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for CSVs")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (overrides config and SPME_SEED)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads, 0 = auto (current build computes in "
-                        "one vectorized worker)")
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads < 0:
-        print("config error at --threads: must be >= 0", file=sys.stderr)
-        return 2
     try:
         cfg, raw = _load_config(args.config)
         seed = _resolve_seed(args.seed, cfg)

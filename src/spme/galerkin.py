@@ -7,22 +7,25 @@ semi-implicit scheme treats the stiff monotone term by a damped Newton solve
 on the grid (tridiagonal Jacobian) and is available for the full Laplacian
 (``alpha = 1``) only.
 
-The ensemble driver advances many paths at once on stacked coefficient
-arrays.  Per-path noise comes from the dedicated streams in
-:mod:`spme.noise`, so every trajectory is a pure function of
-``(master_seed, path_idx, config)`` no matter how paths are batched.
+Both flavours share one step on a ``(P, n_grid)`` batch of coefficient rows
+and one time loop.  Per-path noise comes from the dedicated streams in
+:mod:`spme.noise`, so a trajectory is a function of ``(master_seed, path_idx,
+config)``: bitwise for a fixed batching (config, seed, chunk), and up to
+rounding across batchings, since a one-row transform (matrix-vector product)
+and a batched one (matrix-matrix product) may differ in the last bits.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .drift import DriftSpec, drift_coeffs, phi0_eval, psi_eval, psi_prime, psi_prime_max, young_modular
-from .noise import NoiseSpec, increments_for_path
+from .noise import NoiseSpec, increments_for_path, rho_factor
 from .triple import Field, SpectralDomain
 
 SCHEMES = ("explicit", "semi-implicit")
@@ -159,39 +162,6 @@ class _StabilityGuard:
             )
 
 
-def _noise_coeffs(noise: NoiseSpec, dom: SpectralDomain, C: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Spectral coordinates of B(X) dW for a stack of states C (P, n_grid)."""
-    mn = noise.n_modes
-    if mn > dom.n_grid:
-        raise ValueError("noise has more modes than the grid resolves")
-    hn = np.sqrt(np.sum(C * C / dom.lam, axis=-1))
-    rho = noise.mult(hn) if noise.mult is not None else np.ones_like(hn)
-    out = np.zeros_like(C)
-    out[..., :mn] = rho[..., None] * noise.sigma_array() * dW
-    return out
-
-
-def _diffusion_coeffs(noise: NoiseSpec, dom: SpectralDomain, C: np.ndarray) -> np.ndarray:
-    hn = np.sqrt(np.sum(C * C / dom.lam, axis=-1))
-    rho = noise.mult(hn) if noise.mult is not None else np.ones_like(hn)
-    return rho[..., None] * noise.sigma_array()
-
-
-def _step_chunk_explicit(dom, drift, noise, t, C, dW, dt, m, guard):
-    # Overflow here is the blow-up the caller detects; keep it silent.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = dom.from_spectral(C)
-        s_max = float(np.max(np.abs(values))) if values.size else 0.0
-        if math.isfinite(s_max):
-            guard.check(s_max, t)
-        A = drift_coeffs(dom, drift, t, values, C)
-        new = np.zeros_like(C)
-        new[..., :m] = C[..., :m] + dt * A[..., :m]
-        new[..., :m] += _noise_coeffs(noise, dom, C, dW)[..., :m]
-        z = _diffusion_coeffs(noise, dom, C)
-    return new, A, z
-
-
 def _tridiag_L(vals: np.ndarray, h: float) -> np.ndarray:
     out = -2.0 * vals
     out[:-1] += vals[1:]
@@ -238,65 +208,110 @@ def _newton_implicit(dom, psi, t, b, dt, tol, max_iter):
     )
 
 
-def _step_chunk_semi_implicit(dom, drift, noise, t, C, dW, dt, m, tol, max_iter,
-                              want_drift_record=False):
-    if abs(dom.alpha - 1.0) > 1e-12:
+def _step(config: StepperConfig, dom, drift, noise, guard, t, C, dW, records=False):
+    """Advance the batch C (P, n_grid) by one step of ``config.scheme``.
+
+    Row p takes the increments dW[p] with its own amplitude rho(|C_p|_H).
+    Returns the new batch and, when ``records`` is set, the pair
+    (A(t, C), rho(|C|_H) sigma) that the Ito ledger needs, else None.
+    """
+    dt, m = config.dt, config.n_modes
+    explicit = config.scheme == "explicit"
+    if not explicit and abs(dom.alpha - 1.0) > 1e-12:
         raise UnsupportedSchemeError(
             "the semi-implicit Newton path requires the full Laplacian "
             f"(alpha=1); got alpha={dom.alpha}.  Fall back to the explicit scheme."
         )
-    values = dom.from_spectral(C)
-    h_t = drift.phi.h_at(t)
-    b = values + dt * (h_t * values + phi0_eval(drift.phi, values))
-    b = b + dom.from_spectral(_noise_coeffs(noise, dom, C, dW))
-    new_vals = np.empty_like(values)
-    for i in range(values.shape[0]):
-        new_vals[i] = _newton_implicit(dom, drift.psi, t, b[i], dt, tol, max_iter)
-    new = dom.to_spectral(new_vals)
-    new[..., m:] = 0.0
-    A = drift_coeffs(dom, drift, t, values, C) if want_drift_record else None
-    z = _diffusion_coeffs(noise, dom, C)
-    return new, A, z
+    # Explicit overflow is the blow-up the time loop reports; keep it silent.
+    with np.errstate(over="ignore", invalid="ignore") if explicit else nullcontext():
+        hn = np.sqrt(np.sum(C * C / dom.lam, axis=-1))
+        z = rho_factor(noise, hn)[:, None] * noise.sigma_array()
+        noise_c = np.zeros_like(C)
+        noise_c[:, :noise.n_modes] = z * dW
+        values = dom.from_spectral(C)
+        if explicit:
+            s_max = float(np.max(np.abs(values)))
+            if math.isfinite(s_max):
+                guard.check(s_max, t)
+            A = drift_coeffs(dom, drift, t, values, C)
+            new = np.zeros_like(C)
+            new[:, :m] = C[:, :m] + dt * A[:, :m]
+            new[:, :m] += noise_c[:, :m]
+        else:
+            b = values + dt * (drift.phi.h_at(t) * values + phi0_eval(drift.phi, values))
+            b = b + dom.from_spectral(noise_c)
+            new_vals = np.empty_like(values)
+            for i in range(len(b)):
+                new_vals[i] = _newton_implicit(dom, drift.psi, t, b[i], dt,
+                                               config.implicit_tol, config.implicit_max_iter)
+            new = dom.to_spectral(new_vals)
+            new[:, m:] = 0.0
+            A = drift_coeffs(dom, drift, t, values, C) if records else None
+    return new, ((A, z) if records else None)
+
+
+def _single_step(scheme, dom, drift, noise, t, X, dW, dt, n_modes, tol=1e-10,
+                 max_iter=100) -> Field:
+    m = dom.n_grid if n_modes is None else n_modes
+    config = StepperConfig(dt, dt, m, scheme, tol, max_iter)
+    C, _ = _step(config, dom, drift, noise, _StabilityGuard(dom, drift, dt, m), t,
+                 X.coeffs[None], np.asarray(dW, dtype=float)[None])
+    if not np.all(np.isfinite(C)):
+        raise BlowUpError(f"non-finite state after {scheme} step at t={t:.6g}")
+    return Field.from_coeffs(dom, C[0])
 
 
 def step_explicit(dom, drift, noise, t, X, dW, dt, n_modes=None) -> Field:
     """One explicit Euler--Maruyama step, projected onto the leading modes."""
-    m = dom.n_grid if n_modes is None else n_modes
-    guard = _StabilityGuard(dom, drift, dt, m)
-    C, _, _ = _step_chunk_explicit(
-        dom, drift, noise, t, X.coeffs[None], np.asarray(dW, dtype=float)[None], dt, m, guard
-    )
-    if not np.all(np.isfinite(C)):
-        raise BlowUpError(f"non-finite state after explicit step at t={t:.6g}")
-    return Field.from_coeffs(dom, C[0])
+    return _single_step("explicit", dom, drift, noise, t, X, dW, dt, n_modes)
 
 
 def step_semi_implicit(dom, drift, noise, t, X, dW, dt, n_modes=None,
                        tol=1e-10, max_iter=100) -> Field:
     """One semi-implicit step: the monotone term is solved on the grid."""
-    m = dom.n_grid if n_modes is None else n_modes
-    C, _, _ = _step_chunk_semi_implicit(
-        dom, drift, noise, t, X.coeffs[None], np.asarray(dW, dtype=float)[None],
-        dt, m, tol, max_iter
-    )
-    if not np.all(np.isfinite(C)):
-        raise BlowUpError(f"non-finite state after semi-implicit step at t={t:.6g}")
-    return Field.from_coeffs(dom, C[0])
+    return _single_step("semi-implicit", dom, drift, noise, t, X, dW, dt, n_modes,
+                        tol, max_iter)
 
 
-def _validated_dims(config: StepperConfig, dom: SpectralDomain, noise: NoiseSpec) -> int:
+def _initial_rows(config: StepperConfig, dom: SpectralDomain, noise: NoiseSpec,
+                  starts) -> np.ndarray:
+    """The start fields as rows, projected onto the leading ``config.n_modes``."""
     if config.n_modes > dom.n_grid:
         raise ValueError("n_modes exceeds the grid resolution")
     if noise.n_modes > dom.n_grid:
         raise ValueError("noise has more modes than the grid resolves")
-    return config.n_modes
+    rows = np.zeros((len(starts), dom.n_grid))
+    rows[:, :config.n_modes] = [X.coeffs[:config.n_modes] for X in starts]
+    return rows
+
+
+def _time_loop(config: StepperConfig, dom, drift, noise, C, inc, records=False):
+    """Yield ``(k, t_k, C_k, rec)`` for k = 0..n_steps, starting from batch C.
+
+    ``inc`` holds the increments of P paths, shape (P, n_steps, n_modes); C
+    stacks blocks of P rows (X, then Y in a paired run) and every block takes
+    the same increments.  ``rec`` is the ledger record of the step that led
+    to C_k (None at k = 0 or without ``records``).
+    """
+    guard = _StabilityGuard(dom, drift, config.dt, config.n_modes)
+    copies = len(C) // len(inc)
+    yield 0, 0.0, C, None
+    for k in range(config.n_steps):
+        t = k * config.dt
+        C, rec = _step(config, dom, drift, noise, guard, t, C,
+                       np.tile(inc[:, k], (copies, 1)), records)
+        if not np.all(np.isfinite(C)):
+            raise BlowUpError(
+                f"non-finite state at step {k + 1} (t={t + config.dt:.6g})", step=k + 1
+            )
+        yield k + 1, (k + 1) * config.dt, C, rec
 
 
 def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
              noise: NoiseSpec, X0: Field, master_seed: int, path_idx: int = 0,
              increments: np.ndarray | None = None) -> Trajectory:
     """Integrate one path; deterministic in (master_seed, path_idx, config)."""
-    m = _validated_dims(config, dom, noise)
+    C0 = _initial_rows(config, dom, noise, [X0])
     n_steps = config.n_steps
     if increments is None:
         increments = increments_for_path(noise, n_steps, config.dt, master_seed, path_idx)
@@ -305,34 +320,14 @@ def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
         if increments.shape != (n_steps, noise.n_modes):
             raise ValueError("increments must have shape (n_steps, n_modes)")
 
-    C = np.zeros(dom.n_grid)
-    C[:m] = X0.coeffs[:m]
-    states = [Field.from_coeffs(dom, C.copy())]
+    states = []
     drift_rec = np.empty((n_steps, dom.n_grid)) if config.record_ito else None
     diff_rec = np.empty((n_steps, noise.n_modes)) if config.record_ito else None
-    guard = _StabilityGuard(dom, drift, config.dt, m) if config.scheme == "explicit" else None
-
-    Crow = C[None]
-    for k in range(n_steps):
-        t = k * config.dt
-        dW = increments[k][None]
-        if config.scheme == "explicit":
-            Crow, A, z = _step_chunk_explicit(dom, drift, noise, t, Crow, dW,
-                                              config.dt, m, guard)
-        else:
-            Crow, A, z = _step_chunk_semi_implicit(
-                dom, drift, noise, t, Crow, dW, config.dt, m,
-                config.implicit_tol, config.implicit_max_iter,
-                want_drift_record=config.record_ito,
-            )
-        if not np.all(np.isfinite(Crow)):
-            raise BlowUpError(
-                f"non-finite state at step {k + 1} (t={t + config.dt:.6g})", step=k + 1
-            )
-        if config.record_ito:
-            drift_rec[k] = A[0]
-            diff_rec[k] = z[0]
-        states.append(Field.from_coeffs(dom, Crow[0].copy()))
+    for k, _, C, rec in _time_loop(config, dom, drift, noise, C0, increments[None],
+                                   config.record_ito):
+        states.append(Field.from_coeffs(dom, C[0]))
+        if rec is not None:
+            drift_rec[k - 1], diff_rec[k - 1] = rec[0][0], rec[1][0]
 
     times = np.arange(n_steps + 1) * config.dt
     return Trajectory(
@@ -344,7 +339,11 @@ def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
 
 def simulate_pair(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
                   noise: NoiseSpec, X0: Field, Y0: Field, seed: int):
-    """Two trajectories driven by the identical Brownian increments."""
+    """Two trajectories driven by the identical Brownian increments.
+
+    Two single-row runs, so each matches ``simulate`` bitwise (a 2-row batch
+    would round differently).
+    """
     inc = increments_for_path(noise, config.n_steps, config.dt, seed, 0)
     tx = simulate(config, dom, drift, noise, X0, seed, 0, increments=inc)
     ty = simulate(config, dom, drift, noise, Y0, seed, 0, increments=inc)
@@ -471,9 +470,10 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
                 chunk: int = 128) -> StatTable:
     """Ensemble statistics of the requested observables at the save times.
 
-    Paths are advanced in chunks on stacked coefficient arrays; chunk moments
-    are combined with the parallel mean/M2 merge, so the reduction is
-    independent of the chunking.
+    Paths run in chunks; with ``Y0`` each chunk stacks its Y paths below its
+    X paths on the same increments.  Chunk moments are combined with the
+    parallel mean/M2 merge.  The result is bitwise reproducible for a fixed
+    chunk; other chunkings agree up to rounding (see the module docstring).
     """
     if ensemble_size < 2:
         raise ValueError("ensemble_size must be at least 2")
@@ -483,20 +483,14 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     if not names:
         raise ValueError("at least one observable is required")
     _check_observables(names, paired=Y0 is not None)
-    m = _validated_dims(config, dom, noise)
+    starts = _initial_rows(config, dom, noise, [X0] if Y0 is None else [X0, Y0])
     n_steps = config.n_steps
     save_idx = list(range(0, n_steps + 1, save_every))
     if save_idx[-1] != n_steps:
         save_idx.append(n_steps)
     save_set = {k: i for i, k in enumerate(save_idx)}
     S, K = len(save_idx), len(names)
-
-    X0C = np.zeros(dom.n_grid)
-    X0C[:m] = X0.coeffs[:m]
-    Y0C = None
-    if Y0 is not None:
-        Y0C = np.zeros(dom.n_grid)
-        Y0C[:m] = Y0.coeffs[:m]
+    int_names = [n for n in names if n.startswith("int_")]
 
     total_n, total_mean, total_M2 = 0, np.zeros((S, K)), np.zeros((S, K))
     for start in range(0, ensemble_size, chunk):
@@ -505,42 +499,17 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
         inc = np.empty((P, n_steps, noise.n_modes))
         for i, pidx in enumerate(idxs):
             inc[i] = increments_for_path(noise, n_steps, config.dt, master_seed, pidx)
-        C = np.tile(X0C, (P, 1))
-        CY = np.tile(Y0C, (P, 1)) if Y0C is not None else None
-        guard = (_StabilityGuard(dom, drift, config.dt, m)
-                 if config.scheme == "explicit" else None)
-        int_names = [n for n in names if n.startswith("int_")]
         cums = {n: np.zeros(P) for n in int_names}
         samples = np.empty((S, P, K))
-        for k in range(n_steps + 1):
-            t = k * config.dt
+        for k, t, Z, _ in _time_loop(config, dom, drift, noise,
+                                     np.repeat(starts, P, axis=0), inc):
+            C, CY = Z[:P], (Z[P:] if Y0 is not None else None)
             if k in save_set:
                 samples[save_set[k]] = _eval_observables(names, dom, drift, t, C,
                                                          CY, cums)
-            if k == n_steps:
-                break
-            for n in int_names:  # left-endpoint rule, matching the step scheme
-                cums[n] += config.dt * _eval_plain(n[4:], dom, drift, t, C, CY, {})
-            dW = inc[:, k, :]
-            if config.scheme == "explicit":
-                C, _, _ = _step_chunk_explicit(dom, drift, noise, t, C, dW,
-                                               config.dt, m, guard)
-                if CY is not None:
-                    CY, _, _ = _step_chunk_explicit(dom, drift, noise, t, CY, dW,
-                                                    config.dt, m, guard)
-            else:
-                C, _, _ = _step_chunk_semi_implicit(
-                    dom, drift, noise, t, C, dW, config.dt, m,
-                    config.implicit_tol, config.implicit_max_iter)
-                if CY is not None:
-                    CY, _, _ = _step_chunk_semi_implicit(
-                        dom, drift, noise, t, CY, dW, config.dt, m,
-                        config.implicit_tol, config.implicit_max_iter)
-            if not np.all(np.isfinite(C)) or (CY is not None and not np.all(np.isfinite(CY))):
-                raise BlowUpError(
-                    f"non-finite state at step {k + 1} (t={t + config.dt:.6g})",
-                    step=k + 1,
-                )
+            if k < n_steps:
+                for n in int_names:  # left-endpoint rule, matching the step scheme
+                    cums[n] += config.dt * _eval_plain(n[4:], dom, drift, t, C, CY, {})
         chunk_mean = samples.mean(axis=1)
         chunk_M2 = np.sum((samples - chunk_mean[:, None, :]) ** 2, axis=1)
         total_n, total_mean, total_M2 = _merge_moments(

@@ -227,14 +227,6 @@ def test_ergodicity_auto_rate_needs_linear_drift(tmp_path, capsys):
     assert "ergodicity.declared_c" in capsys.readouterr().err
 
 
-def test_threads_flag(tmp_path, capsys):
-    cfg = _write_config(tmp_path)
-    assert _run("simulate", "--config", cfg, "--out", tmp_path / "a",
-                "--threads", "4") == 0
-    assert _run("simulate", "--config", cfg, "--out", tmp_path / "b",
-                "--threads", "-1") == 2
-
-
 def test_random_initial_depends_only_on_seed(tmp_path):
     cfg = _write_config(tmp_path, initial={"shape": "random", "gamma": 1.5})
     assert _run("simulate", "--config", cfg, "--out", tmp_path / "a") == 0

@@ -20,7 +20,7 @@ from spme.galerkin import (
     step_explicit,
     step_semi_implicit,
 )
-from spme.noise import NoiseSpec, increments_for_path, refine_increments
+from spme.noise import NoiseSpec, RhoFactor, increments_for_path, refine_increments
 from spme.triple import Field, SpectralDomain, h_inner, h_norm
 
 PME = DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),)), phi=PhiSpec(), mode="A1")
@@ -162,6 +162,11 @@ def test_blow_up_carries_step_index():
     with pytest.raises(BlowUpError) as err:
         simulate(cfg, dom, growth, ZERO_NOISE, X0, 0)
     assert err.value.step is not None and err.value.step > 100
+    # The ensemble reports the same step (mode_1 reads a coefficient, so no
+    # observable overflows on the way).
+    with pytest.raises(BlowUpError) as ens:
+        monte_carlo(cfg, dom, growth, ZERO_NOISE, X0, 0, 3, ("mode_1",))
+    assert ens.value.step == err.value.step
 
 
 def test_galerkin_truncation_consistency():
@@ -250,10 +255,12 @@ def test_refinement_coupling_shrinks_error():
     assert d_mid < d_coarse
 
 
-def test_record_ito_contents():
+@pytest.mark.parametrize("scheme", ["explicit", "semi-implicit"])
+def test_record_ito_contents(scheme):
+    # Both schemes record the drift A(t_k, X_k) of the state before step k.
     dom = SpectralDomain(8)
     nz = NoiseSpec(sigma=(0.2, 0.1))
-    cfg = StepperConfig(dt=1e-3, T=0.01, n_modes=8, record_ito=True)
+    cfg = StepperConfig(dt=1e-3, T=0.01, n_modes=8, scheme=scheme, record_ito=True)
     X0 = Field.from_values(dom, np.sin(np.pi * dom.x))
     tr = simulate(cfg, dom, PME, nz, X0, 23)
     assert tr.drift_record.shape == (10, 8)
@@ -337,6 +344,39 @@ def test_monte_carlo_pairs_dist_sq():
     assert d0 == pytest.approx(h_norm(dom, X0) ** 2, rel=1e-12)
     assert st.se_of("dist_sq")[0] == 0.0  # identical deterministic start
     assert st.mean_of("dist_sq")[-1] < d0  # monotone drift contracts
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "semi-implicit"])
+def test_monte_carlo_pairs_match_serial_pairs(scheme):
+    # Each Y row of a paired chunk takes its X row's increments but its own
+    # amplitude rho(|Y_p|_H); chunk=2 keeps every chunk a batched product.
+    dom, _, X0, cfg = _small_setup()
+    cfg = StepperConfig(dt=cfg.dt, T=cfg.T, n_modes=cfg.n_modes, scheme=scheme)
+    nz = NoiseSpec(sigma=(0.4, 0.2), mult=RhoFactor(0.2, 1.5))
+    Y0 = Field.from_values(dom, 0.5 * np.sin(np.pi * dom.x))
+    st = monte_carlo(cfg, dom, PME, nz, X0, 5, 4, ("dist_sq",), Y0=Y0, save_every=20,
+                     chunk=2)
+    dists = []
+    for p in range(4):
+        inc = increments_for_path(nz, cfg.n_steps, cfg.dt, 5, p)
+        tx = simulate(cfg, dom, PME, nz, X0, 5, p, increments=inc)
+        ty = simulate(cfg, dom, PME, nz, Y0, 5, p, increments=inc)
+        dists.append([h_norm(dom, tx.states[k] - ty.states[k]) ** 2
+                      for k in range(0, cfg.n_steps + 1, 20)])
+    np.testing.assert_allclose(st.mean_of("dist_sq"), np.mean(dists, axis=0), rtol=1e-13)
+
+
+@pytest.mark.parametrize("scheme, error", [("explicit", StabilityError),
+                                           ("semi-implicit", ConvergenceError)])
+def test_monte_carlo_raises_step_failures(scheme, error):
+    # A coarse explicit dt trips the stability guard; one Newton iteration
+    # cannot reach the implicit tolerance.
+    dom = SpectralDomain(32)
+    X0 = Field.from_values(dom, 3.0 * np.sin(np.pi * dom.x))
+    dt = 0.1 if scheme == "explicit" else 5.0
+    cfg = StepperConfig(dt=dt, T=2 * dt, n_modes=32, scheme=scheme, implicit_max_iter=1)
+    with pytest.raises(error):
+        monte_carlo(cfg, dom, PME, ZERO_NOISE, X0, 0, 3, ("dist_sq",), Y0=Field.zero(dom))
 
 
 def test_monte_carlo_zero_paths():
