@@ -49,7 +49,21 @@ class StabilityError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Newton did not reach the residual tolerance."""
+    """Newton did not reach the residual tolerance.
+
+    ``path`` is the first failing row in index order (the solver sees batch
+    rows; ``simulate`` and ``monte_carlo`` turn it into the path index) and
+    ``step`` the 1-based time step, None where unknown.
+    """
+
+    def __init__(self, detail: str, path: int | None = None, step: int | None = None):
+        super().__init__(detail)
+        self.detail, self.path, self.step = detail, path, step
+
+    def __str__(self):
+        path = "" if self.path is None else f" for path {self.path}"
+        step = "" if self.step is None else f" at step {self.step}"
+        return f"implicit solve{path}{step} {self.detail}"
 
 
 class UnsupportedSchemeError(RuntimeError):
@@ -163,48 +177,74 @@ class _StabilityGuard:
 
 
 def _tridiag_L(vals: np.ndarray, h: float) -> np.ndarray:
+    """The Dirichlet grid Laplacian applied along the last axis."""
     out = -2.0 * vals
-    out[:-1] += vals[1:]
-    out[1:] += vals[:-1]
-    return out / h**2
+    out[..., :-1] += vals[..., 1:]
+    out[..., 1:] += vals[..., :-1]
+    out /= h**2
+    return out
+
+
+def _implicit_residual(psi, t, u, b, dt, h):
+    """The residual u - dt * L_h Psi(t, u) - b and its max norm, per row."""
+    res = u - dt * _tridiag_L(psi_eval(psi, t, u), h) - b
+    return res, np.abs(res).max(axis=-1)
 
 
 def _newton_implicit(dom, psi, t, b, dt, tol, max_iter):
-    """Solve u - dt * L_h Psi(t, u) = b on the grid by damped Newton."""
-    h = dom.h
+    """Solve u - dt * L_h Psi(t, u) = b for every row of b by damped Newton.
+
+    Rows are independent: each keeps its own step size and is frozen once
+    its residual reaches ``tol``, so every row takes the arithmetic of a
+    one-row solve.  The active rows' tridiagonal Jacobians go into one
+    block-diagonal banded solve per iteration (zero coupling entries).
+    Residual tests are written ``~(r <= bound)`` so a NaN residual never
+    counts as converged or accepted.
+    """
+    h, gamma = dom.h, dt / dom.h**2
     u = b.copy()
-    res = u - dt * _tridiag_L(np.asarray(psi_eval(psi, t, u), dtype=float), h) - b
-    rnorm = float(np.max(np.abs(res)))
-    gamma = dt / h**2
-    u_best, r_best = u, rnorm
-    for _ in range(max_iter):
-        if rnorm <= tol:
+    res, rnorm = _implicit_residual(psi, t, u, b, dt, h)
+    r_best = rnorm.copy()
+    for it in range(max_iter + 1):
+        act = (~(rnorm <= tol)).nonzero()[0]
+        if act.size == 0:
             return u
-        pp = np.minimum(psi_prime(psi, t, u), 1.0 / _JACOBIAN_FLOOR)
-        pp = np.asarray(pp, dtype=float)
-        ab = np.zeros((3, u.size))
-        ab[0, 1:] = -gamma * pp[1:]
-        ab[1, :] = 1.0 + 2.0 * gamma * pp
-        ab[2, :-1] = -gamma * pp[:-1]
-        du = solve_banded((1, 1), ab, -res)
+        if it == max_iter:
+            break
+        # With every row active (always so for one row) nothing is gathered.
+        full = act.size == len(u)
+        ua, ra, ba, r0 = (u, res, b, rnorm) if full else (u[act], res[act], b[act], rnorm[act])
+        k, n = ua.shape
+        pp = np.minimum(psi_prime(psi, t, ua), 1.0 / _JACOBIAN_FLOOR)
+        off = -gamma * pp
+        ab = np.zeros((3, k, n))
+        ab[0, :, 1:] = off[:, 1:]
+        ab[1] = 1.0 + 2.0 * gamma * pp
+        ab[2, :, :-1] = off[:, :-1]
+        du = solve_banded((1, 1), ab.reshape(3, k * n), -ra.ravel()).reshape(k, n)
+        u_try = ua + du
+        res_try, r_try = _implicit_residual(psi, t, u_try, ba, dt, h)
+        # Rows still backtracking all share the halved step, down to 1/128.
         step = 1.0
-        while True:
-            u_try = u + step * du
-            res_try = u_try - dt * _tridiag_L(
-                np.asarray(psi_eval(psi, t, u_try), dtype=float), h
-            ) - b
-            rnorm_try = float(np.max(np.abs(res_try)))
-            if rnorm_try <= (1.0 - 0.5 * step) * rnorm or step < 1.0 / 64.0:
-                break
+        back = (~(r_try <= 0.5 * r0)).nonzero()[0]
+        while back.size:
             step *= 0.5
-        u, res, rnorm = u_try, res_try, rnorm_try
-        if rnorm < r_best:
-            u_best, r_best = u, rnorm
-    if r_best <= tol:
-        return u_best
+            rows = slice(None) if back.size == k else back
+            u_back = ua[rows] + step * du[rows]
+            res_back, r_back = _implicit_residual(psi, t, u_back, ba[rows], dt, h)
+            u_try[rows], res_try[rows], r_try[rows] = u_back, res_back, r_back
+            if step < 1.0 / 64.0:
+                break
+            back = back[~(r_back <= (1.0 - 0.5 * step) * r0[rows])]
+        if full:
+            u, res, rnorm = u_try, res_try, r_try
+        else:
+            u[act], res[act], rnorm[act] = u_try, res_try, r_try
+        np.fmin(r_best, rnorm, out=r_best)
+    row = int(act[0])
     raise ConvergenceError(
-        f"implicit solve did not converge within {max_iter} iterations "
-        f"(best residual {r_best:.3e}, tolerance {tol:.1e})"
+        f"did not converge within {max_iter} iterations "
+        f"(best residual {r_best[row]:.3e}, tolerance {tol:.1e})", path=row
     )
 
 
@@ -240,11 +280,9 @@ def _step(config: StepperConfig, dom, drift, noise, guard, t, C, dW, records=Fal
         else:
             b = values + dt * (drift.phi.h_at(t) * values + phi0_eval(drift.phi, values))
             b = b + dom.from_spectral(noise_c)
-            new_vals = np.empty_like(values)
-            for i in range(len(b)):
-                new_vals[i] = _newton_implicit(dom, drift.psi, t, b[i], dt,
-                                               config.implicit_tol, config.implicit_max_iter)
-            new = dom.to_spectral(new_vals)
+            new = dom.to_spectral(_newton_implicit(dom, drift.psi, t, b, dt,
+                                                   config.implicit_tol,
+                                                   config.implicit_max_iter))
             new[:, m:] = 0.0
             A = drift_coeffs(dom, drift, t, values, C) if records else None
     return new, ((A, z) if records else None)
@@ -285,21 +323,27 @@ def _initial_rows(config: StepperConfig, dom: SpectralDomain, noise: NoiseSpec,
     return rows
 
 
-def _time_loop(config: StepperConfig, dom, drift, noise, C, inc, records=False):
+def _time_loop(config: StepperConfig, dom, drift, noise, C, inc, first_path,
+               records=False):
     """Yield ``(k, t_k, C_k, rec)`` for k = 0..n_steps, starting from batch C.
 
-    ``inc`` holds the increments of P paths, shape (P, n_steps, n_modes); C
-    stacks blocks of P rows (X, then Y in a paired run) and every block takes
-    the same increments.  ``rec`` is the ledger record of the step that led
-    to C_k (None at k = 0 or without ``records``).
+    ``inc`` holds the increments of P paths, shape (P, n_steps, n_modes),
+    numbered from ``first_path``; C stacks blocks of P rows (X, then Y in a
+    paired run) and every block takes the same increments.  ``rec`` is the
+    ledger record of the step that led to C_k (None at k = 0 or without
+    ``records``).  A ``ConvergenceError`` leaves with its path and step.
     """
     guard = _StabilityGuard(dom, drift, config.dt, config.n_modes)
     copies = len(C) // len(inc)
     yield 0, 0.0, C, None
     for k in range(config.n_steps):
         t = k * config.dt
-        C, rec = _step(config, dom, drift, noise, guard, t, C,
-                       np.tile(inc[:, k], (copies, 1)), records)
+        try:
+            C, rec = _step(config, dom, drift, noise, guard, t, C,
+                           np.tile(inc[:, k], (copies, 1)), records)
+        except ConvergenceError as err:
+            err.path, err.step = first_path + err.path % len(inc), k + 1
+            raise
         if not np.all(np.isfinite(C)):
             raise BlowUpError(
                 f"non-finite state at step {k + 1} (t={t + config.dt:.6g})", step=k + 1
@@ -324,7 +368,7 @@ def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     drift_rec = np.empty((n_steps, dom.n_grid)) if config.record_ito else None
     diff_rec = np.empty((n_steps, noise.n_modes)) if config.record_ito else None
     for k, _, C, rec in _time_loop(config, dom, drift, noise, C0, increments[None],
-                                   config.record_ito):
+                                   path_idx, config.record_ito):
         states.append(Field.from_coeffs(dom, C[0]))
         if rec is not None:
             drift_rec[k - 1], diff_rec[k - 1] = rec[0][0], rec[1][0]
@@ -502,7 +546,7 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
         cums = {n: np.zeros(P) for n in int_names}
         samples = np.empty((S, P, K))
         for k, t, Z, _ in _time_loop(config, dom, drift, noise,
-                                     np.repeat(starts, P, axis=0), inc):
+                                     np.repeat(starts, P, axis=0), inc, start):
             C, CY = Z[:P], (Z[P:] if Y0 is not None else None)
             if k in save_set:
                 samples[save_set[k]] = _eval_observables(names, dom, drift, t, C,

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from spme.drift import DriftSpec, PhiSpec, PsiSpec, assemble_A
+from spme.drift import DriftSpec, PhiSpec, PsiSpec, assemble_A, psi_eval, psi_prime
 from spme.galerkin import (
+    _JACOBIAN_FLOOR,
     BlowUpError,
     ConvergenceError,
     StabilityError,
     StepperConfig,
     Trajectory,
     UnsupportedSchemeError,
+    _implicit_residual,
+    _newton_implicit,
+    _tridiag_L,
     monte_carlo,
     simulate,
     simulate_pair,
@@ -111,6 +115,157 @@ def test_semi_implicit_convergence_error():
     X = Field.from_values(dom, 3.0 * np.sin(np.pi * dom.x))
     with pytest.raises(ConvergenceError, match="residual"):
         step_semi_implicit(dom, PME, ZERO_NOISE, 0.0, X, np.zeros(1), 5.0, max_iter=1)
+
+
+def _laplacian_1d(v, h):
+    out = -2.0 * v
+    out[:-1] += v[1:]
+    out[1:] += v[:-1]
+    return out / h**2
+
+
+def _newton_one_row(dom, psi, t, b, dt, tol, max_iter):
+    """Reference one-row damped Newton solve that every batch row must match.
+
+    Returns (u, iterations, backtracks); raises ConvergenceError with the
+    best residual seen.
+    """
+    h, gamma = dom.h, dt / dom.h**2
+
+    def residual(u):
+        res = u - dt * _laplacian_1d(psi_eval(psi, t, u), h) - b
+        return res, float(np.max(np.abs(res)))
+
+    u = b.copy()
+    res, rnorm = residual(u)
+    r_best, iters, backtracks = rnorm, 0, 0
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            return u, iters, backtracks
+        pp = np.minimum(psi_prime(psi, t, u), 1.0 / _JACOBIAN_FLOOR)
+        ab = np.zeros((3, u.size))
+        ab[0, 1:] = -gamma * pp[1:]
+        ab[1, :] = 1.0 + 2.0 * gamma * pp
+        ab[2, :-1] = -gamma * pp[:-1]
+        du = solve_banded((1, 1), ab, -res)
+        iters += 1
+        step = 1.0
+        while True:
+            u_try = u + step * du
+            res_try, r_try = residual(u_try)
+            if r_try <= (1.0 - 0.5 * step) * rnorm or step < 1.0 / 64.0:
+                break
+            step *= 0.5
+            backtracks += 1
+        u, res, rnorm = u_try, res_try, r_try
+        r_best = min(r_best, rnorm)
+    if rnorm <= tol:
+        return u, iters, backtracks
+    raise ConvergenceError(f"did not converge within {max_iter} iterations "
+                           f"(best residual {r_best:.3e}, tolerance {tol:.1e})")
+
+
+_NEWTON_PSIS = {
+    "porous-medium": PsiSpec(terms=((1.0, 2.0),)),
+    "fast-diffusion": PsiSpec(terms=((1.0, 0.5),)),  # Psi' singular at 0
+    "log-power": PsiSpec(log_power=(2.0, 1.0)),
+}
+
+
+def _mixed_rows(dom):
+    # A zero row (converged at entry), then rows of varied difficulty.
+    x = dom.x
+    bump = np.exp(-((x - 0.3) / 0.05) ** 2)
+    return np.stack([np.zeros_like(x), 0.01 * np.sin(np.pi * x), 30.0 * bump, 0.3 * bump,
+                     3.0 * (np.abs(x - 0.6) < 0.03),
+                     3.0 * np.sign(x - 0.5) * np.sin(2 * np.pi * x) ** 2])
+
+
+@pytest.mark.parametrize("name", sorted(_NEWTON_PSIS))
+def test_batched_newton_rows_match_one_row_solves(name):
+    # Rows converge at different iterations and some backtrack; each must
+    # come out bitwise as its own solve, batched or alone.
+    dom, psi = SpectralDomain(24), _NEWTON_PSIS[name]
+    b = _mixed_rows(dom)
+    u = _newton_implicit(dom, psi, 0.0, b, 0.01, 1e-10, 100)
+    iters, backtracks = [], []
+    for row, out in zip(b, u):
+        ref, it, bt = _newton_one_row(dom, psi, 0.0, row, 0.01, 1e-10, 100)
+        assert out.tobytes() == ref.tobytes()
+        alone = _newton_implicit(dom, psi, 0.0, row[None], 0.01, 1e-10, 100)
+        assert alone[0].tobytes() == ref.tobytes()
+        iters.append(it)
+        backtracks.append(bt)
+    assert iters[0] == 0 and max(backtracks) > 0 and len(set(iters)) >= 4
+
+
+def test_grid_operator_and_residual_act_along_rows():
+    dom, psi, dt = SpectralDomain(24), _NEWTON_PSIS["porous-medium"], 0.01
+    b = _mixed_rows(dom)
+    u = b + 0.1 * np.cos(np.pi * dom.x)
+    L = _tridiag_L(u, dom.h)
+    res, rnorm = _implicit_residual(psi, 0.0, u, b, dt, dom.h)
+    for i in range(len(u)):
+        assert L[i].tobytes() == _laplacian_1d(u[i], dom.h).tobytes()
+        ref = u[i] - dt * _laplacian_1d(psi_eval(psi, 0.0, u[i]), dom.h) - b[i]
+        assert res[i].tobytes() == ref.tobytes()
+        assert rnorm[i] == np.max(np.abs(ref))
+
+
+def test_batched_newton_reports_first_failing_row():
+    # Three iterations: rows 0 and 1 converge, row 2 is the first that does
+    # not, and its message carries the residual of its own solve.
+    dom, psi = SpectralDomain(24), _NEWTON_PSIS["porous-medium"]
+    b = _mixed_rows(dom)
+    with pytest.raises(ConvergenceError) as ref:
+        _newton_one_row(dom, psi, 0.0, b[2], 0.01, 1e-10, 3)
+    with pytest.raises(ConvergenceError) as err:
+        _newton_implicit(dom, psi, 0.0, b, 0.01, 1e-10, 3)
+    assert err.value.path == 2 and err.value.step is None
+    assert err.value.detail == ref.value.detail
+    assert str(err.value) == f"implicit solve for path 2 {ref.value.detail}"
+
+
+def test_batched_newton_non_finite_row_raises_like_its_own_solve():
+    # A NaN residual never counts as converged or accepted, so the batch
+    # raises what the row's own solve raises, whatever the finite rows do.
+    dom, psi = SpectralDomain(24), _NEWTON_PSIS["porous-medium"]
+    b = _mixed_rows(dom)
+    b[3, 5] = np.nan
+    with pytest.raises(Exception) as ref:
+        _newton_one_row(dom, psi, 0.0, b[3], 0.01, 1e-10, 100)
+    with pytest.raises(type(ref.value)) as err:
+        _newton_implicit(dom, psi, 0.0, b, 0.01, 1e-10, 100)
+    assert str(err.value) == str(ref.value)
+
+
+def test_convergence_error_names_path_and_step():
+    dom = SpectralDomain(32)
+    X0 = Field.from_values(dom, 3.0 * np.sin(np.pi * dom.x))
+    cfg = StepperConfig(dt=5.0, T=10.0, n_modes=32, scheme="semi-implicit",
+                        implicit_max_iter=1)
+    with pytest.raises(ConvergenceError, match="for path 5 at step 1 did not") as err:
+        simulate(cfg, dom, PME, ZERO_NOISE, X0, 0, path_idx=5)
+    assert (err.value.path, err.value.step) == (5, 1)
+
+
+@pytest.mark.parametrize("seed, start, path", [(17, "X", 3), (24, "Y", 1)])
+def test_monte_carlo_convergence_error_names_path(seed, start, path):
+    # Only one start of one path fails at these seeds: an X row in the second
+    # chunk (seed 17) or a Y row in the first (seed 24).  The ensemble names
+    # that path and the step at which simulate fails on it.
+    dom = SpectralDomain(16)
+    X0 = Field.from_values(dom, 0.2 * np.sin(np.pi * dom.x))
+    Y0 = Field.zero(dom)
+    nz = NoiseSpec(sigma=(1.0, 0.5))
+    cfg = StepperConfig(dt=0.01, T=0.2, n_modes=16, scheme="semi-implicit",
+                        implicit_max_iter=4)
+    with pytest.raises(ConvergenceError) as sim:
+        simulate(cfg, dom, PME, nz, X0 if start == "X" else Y0, seed, path_idx=path)
+    with pytest.raises(ConvergenceError) as ens:
+        monte_carlo(cfg, dom, PME, nz, X0, seed, 6, ("dist_sq",), Y0=Y0, chunk=2)
+    assert ens.value.path == sim.value.path == path
+    assert ens.value.step == sim.value.step
 
 
 def test_richardson_implicit_minus_explicit_second_order():
