@@ -5,13 +5,12 @@ writes its tables into --out together with a manifest (config hash, master
 seed, package version), and prints one PASS/FAIL line per check.  Exit
 status: 0 all checks passed, 1 a check failed or a runtime error occurred,
 2 invalid config (the message names the offending key), 3 blow-up (the
-message names the step).
+message names the path and the step).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -38,6 +37,7 @@ from .galerkin import (
     StepperConfig,
     monte_carlo,
     simulate,
+    write_csv,
 )
 from .noise import NoiseSpec, RhoFactor
 from .triple import Field, SpectralDomain, h_norm
@@ -46,6 +46,7 @@ from .verify import (
     energy_estimate,
     ergodicity_test,
     extinction_time,
+    is_linear_additive,
     ito_ledger,
     ito_refinement_study,
     ou_oracle,
@@ -303,13 +304,6 @@ def _run_params(cfg: dict):
     return ensemble, save_every
 
 
-def _write_kv_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("key,value\n")
-        for k, v in rows:
-            fh.write(f"{k},{format(v, '.17g') if isinstance(v, float) else v}\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -343,16 +337,11 @@ def _cmd_check_conditions(cfg, dom, drift, noise, stepper, seed, out):
         # valid nonlinearity, so skip them once the base check failed.
         reports.append(check_H(dom, drift, noise))
         consts = declared_constants(dom, drift, noise)
-        _write_kv_csv(out / "constants.csv", sorted(consts.items()))
+        write_csv(out / "constants.csv", ["key", "value"], sorted(consts.items()))
         outputs.append("constants.csv")
     rows = [r.to_row() for r in reports]
     keys = ["report"] + sorted({k for row in rows for k in row} - {"report"})
-    with open(out / "conditions.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: format(v, ".17g") if isinstance(v, float) else v
-                             for k, v in row.items()})
+    write_csv(out / "conditions.csv", keys, [[row.get(k, "") for k in keys] for row in rows])
     ok = True
     for rep in reports:
         ok &= rep.passed
@@ -382,10 +371,8 @@ def _cmd_ito_check(cfg, dom, drift, noise, stepper, seed, out):
                          scheme=stepper.scheme, record_ito=True)
     ito_ledger(simulate(fine, dom, drift, noise, X0, seed, 0)).to_csv(
         out / "ledger.csv")
-    with open(out / "refinement.csv", "w", newline="") as fh:
-        fh.write("dt,max_residual\n")
-        for dt, res in zip(study.dts, study.max_residuals):
-            fh.write(f"{dt:.17g},{res:.17g}\n")
+    write_csv(out / "refinement.csv", ["dt", "max_residual"],
+              zip(study.dts, study.max_residuals))
     monotone = all(a > b for a, b in zip(study.max_residuals,
                                          study.max_residuals[1:]))
     ok = monotone and study.order >= 0.8
@@ -474,7 +461,8 @@ def _cmd_extinction(cfg, dom, drift, noise, stepper, seed, out):
     traj = simulate(stepper, dom, drift, noise, X0, seed, 0)
     sup = np.array([np.max(np.abs(s.values)) for s in traj.states])
     hn = np.array([h_norm(dom, s) for s in traj.states])
-    _write_energy_like_csv(out / "extinction.csv", traj.times, sup, hn)
+    write_csv(out / "extinction.csv", ["t", "sup_abs", "h_norm"],
+              np.column_stack([traj.times, sup, hn]).tolist())
     try:
         te = extinction_time(traj, eps)
     except ValueError as exc:
@@ -489,13 +477,6 @@ def _cmd_extinction(cfg, dom, drift, noise, stepper, seed, out):
     print(f"{status} extinction: expected {expect}, first time below "
           f"eps={eps:g}: {te_text} (sup at T: {sup[-1]:.3e}{extra})")
     return (0 if ok and decay_ok else 1), ["extinction.csv"]
-
-
-def _write_energy_like_csv(path: Path, times, sup, hn) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,sup_abs,h_norm\n")
-        for t, s, h in zip(times, sup, hn):
-            fh.write(f"{t:.17g},{s:.17g},{h:.17g}\n")
 
 
 def _cmd_ou_oracle(cfg, dom, drift, noise, stepper, seed, out):
@@ -539,11 +520,8 @@ def _cmd_ou_oracle(cfg, dom, drift, noise, stepper, seed, out):
             worst = max(worst, abs(z_m), abs(z_v))
             rows.append((stats.times[idx], k + 1, m_emp, mean_exact[k], z_m,
                          v_emp, var_exact[k], z_v))
-    with open(out / "ou.csv", "w", newline="") as fh:
-        fh.write("t,mode,mean_emp,mean_exact,z_mean,var_emp,var_exact,z_var\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") if isinstance(v, float)
-                              else str(v) for v in row) + "\n")
+    write_csv(out / "ou.csv", ["t", "mode", "mean_emp", "mean_exact", "z_mean", "var_emp",
+                               "var_exact", "z_var"], rows)
     ok = worst < 3.0
     status = "PASS" if ok else "FAIL"
     print(f"{status} ou-oracle: max |z| = {worst:.3f} over {2 * len(rows)} "
@@ -573,10 +551,7 @@ def _cmd_ergodicity(cfg, dom, drift, noise, stepper, seed, out):
         lip = _typed(lip, "float", "ergodicity.lip")
     declared = sec.get("declared_c", "auto")
     if declared == "auto":
-        linear = (drift.psi.terms == ((1.0, 1.0),)
-                  and drift.psi.modulation is None and drift.phi.sup_h == 0.0
-                  and not drift.phi.phi0_terms and noise.mult is None)
-        if not linear:
+        if not is_linear_additive(drift, noise):
             raise ConfigError("ergodicity.declared_c",
                               "auto rate exists only for the linear additive "
                               "setting; give declared_c explicitly")
@@ -645,7 +620,7 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     except BlowUpError as exc:
-        print(f"blow-up: {exc} (step {exc.step})", file=sys.stderr)
+        print(f"blow-up: {exc} (path {exc.path}, step {exc.step})", file=sys.stderr)
         return 3
     except Exception as exc:  # stability refusals, convergence failures, ...
         print(f"error: {exc}", file=sys.stderr)

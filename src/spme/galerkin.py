@@ -37,15 +37,32 @@ _JACOBIAN_FLOOR = 1e-8
 
 
 class BlowUpError(RuntimeError):
-    """State left the finite range; carries the offending step index."""
+    """State left the finite range.
 
-    def __init__(self, message: str, step: int | None = None):
+    ``path`` is the first non-finite row (as a path index) and ``step`` the
+    1-based time step, None where unknown.
+    """
+
+    def __init__(self, message: str, step: int | None = None, path: int | None = None):
         super().__init__(message)
-        self.step = step
+        self.step, self.path = step, path
 
 
 class StabilityError(RuntimeError):
-    """Explicit stability guard violated."""
+    """Explicit stability guard violated.
+
+    ``path`` is the row holding the batch's largest |value| (as a path index)
+    and ``step`` the 1-based time step; ``simulate`` and ``monte_carlo`` set
+    both, the one-step functions leave them None.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path = self.step = None
+
+    def __str__(self):
+        where = "" if self.step is None else f" (path {self.path}, step {self.step})"
+        return super().__str__() + where
 
 
 class ConvergenceError(RuntimeError):
@@ -68,6 +85,20 @@ class ConvergenceError(RuntimeError):
 
 class UnsupportedSchemeError(RuntimeError):
     """Scheme/domain combination not available."""
+
+
+def write_csv(path, header, rows) -> None:
+    """Write one table: a header line, then one line per row.
+
+    Floats are written ``.17g``, which parses back to the same double; every
+    other cell with ``str``.  Lines end in ``\\n`` on every platform.  Rows of
+    Python floats (``array.tolist()``) format fastest.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -128,13 +159,10 @@ class Trajectory:
         return np.stack([s.coeffs for s in self.states])
 
     def to_csv(self, path) -> None:
-        mat = self.coeff_matrix()
-        header = ["t"] + [f"mode_{k}" for k in range(1, mat.shape[1] + 1)]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for t, row in zip(self.times, mat):
-                cells = [format(t, ".17g")] + [format(v, ".17g") for v in row]
-                fh.write(",".join(cells) + "\n")
+        header = ["t"] + [f"mode_{k}" for k in range(1, self.dom.n_grid + 1)]
+        # One row at a time: the table is never held whole.
+        write_csv(path, header, ([t, *s.coeffs.tolist()]
+                                 for t, s in zip(self.times.tolist(), self.states)))
 
 
 class _StabilityGuard:
@@ -331,10 +359,11 @@ def _time_loop(config: StepperConfig, dom, drift, noise, C, inc, first_path,
     numbered from ``first_path``; C stacks blocks of P rows (X, then Y in a
     paired run) and every block takes the same increments.  ``rec`` is the
     ledger record of the step that led to C_k (None at k = 0 or without
-    ``records``).  A ``ConvergenceError`` leaves with its path and step.
+    ``records``).  Step failures leave with the path and the step.
     """
     guard = _StabilityGuard(dom, drift, config.dt, config.n_modes)
-    copies = len(C) // len(inc)
+    P = len(inc)
+    copies = len(C) // P
     yield 0, 0.0, C, None
     for k in range(config.n_steps):
         t = k * config.dt
@@ -342,11 +371,17 @@ def _time_loop(config: StepperConfig, dom, drift, noise, C, inc, first_path,
             C, rec = _step(config, dom, drift, noise, guard, t, C,
                            np.tile(inc[:, k], (copies, 1)), records)
         except ConvergenceError as err:
-            err.path, err.step = first_path + err.path % len(inc), k + 1
+            err.path, err.step = first_path + err.path % P, k + 1
+            raise
+        except StabilityError as err:
+            row = int(np.argmax(np.abs(dom.from_spectral(C)).max(axis=-1)))
+            err.path, err.step = first_path + row % P, k + 1
             raise
         if not np.all(np.isfinite(C)):
+            row = int(np.argmin(np.isfinite(C).all(axis=-1)))
             raise BlowUpError(
-                f"non-finite state at step {k + 1} (t={t + config.dt:.6g})", step=k + 1
+                f"non-finite state at step {k + 1} (t={t + config.dt:.6g})", step=k + 1,
+                path=first_path + row % P,
             )
         yield k + 1, (k + 1) * config.dt, C, rec
 
@@ -426,18 +461,9 @@ class StatTable:
         return self.se[:, self.col(name)]
 
     def to_csv(self, path) -> None:
-        header = ["t"]
-        for name in self.names:
-            header += [f"{name}_mean", f"{name}_var", f"{name}_se"]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for i, t in enumerate(self.times):
-                cells = [format(t, ".17g")]
-                for j in range(len(self.names)):
-                    cells += [format(self.mean[i, j], ".17g"),
-                              format(self.var[i, j], ".17g"),
-                              format(self.se[i, j], ".17g")]
-                fh.write(",".join(cells) + "\n")
+        header = ["t"] + [f"{name}_{m}" for name in self.names for m in ("mean", "var", "se")]
+        cols = np.stack([self.mean, self.var, self.se], axis=-1).reshape(len(self.times), -1)
+        write_csv(path, header, np.column_stack([self.times, cols]).tolist())
 
 
 _PLAIN_OBSERVABLES = ("h_norm_sq", "modular", "R", "sup_abs", "dist_sq",
@@ -459,43 +485,40 @@ def _check_observables(names, paired: bool) -> None:
             raise ValueError(f"unknown observable {name!r}")
 
 
-def _eval_plain(name, dom, drift, t, C, CY, cache):
-    if name == "h_norm_sq":
-        return np.sum(C * C / dom.lam, axis=-1)
-    if name == "dist_sq":
-        D = C - CY
-        return np.sum(D * D / dom.lam, axis=-1)
-    if name == "drift_norm_sq":
-        if "values" not in cache:
-            cache["values"] = dom.from_spectral(C)
-        A = drift_coeffs(dom, drift, t, cache["values"], C)
-        return np.sum(A * A / dom.lam, axis=-1)
-    if name == "modular":
-        if "values" not in cache:
-            cache["values"] = dom.from_spectral(C)
-        return np.atleast_1d(young_modular(dom, drift.psi, cache["values"]))
-    if name == "R":
-        if "values" not in cache:
-            cache["values"] = dom.from_spectral(C)
-        return (np.atleast_1d(young_modular(dom, drift.psi, cache["values"]))
-                + np.sum(C * C / dom.lam, axis=-1))
-    if name == "sup_abs":
-        if "values" not in cache:
-            cache["values"] = dom.from_spectral(C)
-        return np.max(np.abs(cache["values"]), axis=-1)
-    return C[:, int(name[5:]) - 1]
+class _Observables(dict):
+    """The plain observables of a batch C at time t, each computed on first lookup.
 
+    ``"values"``, the grid view that the grid-based observables share, is an
+    entry like the others, so it too is computed at most once.
+    """
 
-def _eval_observables(names, dom, drift, t, C, CY=None, cums=None):
-    """Column stack of observables; ``int_*`` names read the accumulators."""
-    cols = []
-    cache = {}
-    for name in names:
-        if name.startswith("int_"):
-            cols.append(cums[name].copy())
-        else:
-            cols.append(_eval_plain(name, dom, drift, t, C, CY, cache))
-    return np.stack(cols, axis=-1)  # (P, K)
+    def __init__(self, dom, drift, t, C, CY):
+        super().__init__()
+        self.dom, self.drift, self.t, self.C, self.CY = dom, drift, t, C, CY
+
+    def __missing__(self, name):
+        self[name] = value = self._eval(name)
+        return value
+
+    def _eval(self, name):
+        dom, C = self.dom, self.C
+        if name == "values":
+            return dom.from_spectral(C)
+        if name == "h_norm_sq":
+            return np.sum(C * C / dom.lam, axis=-1)
+        if name == "dist_sq":
+            D = C - self.CY
+            return np.sum(D * D / dom.lam, axis=-1)
+        if name == "drift_norm_sq":
+            A = drift_coeffs(dom, self.drift, self.t, self["values"], C)
+            return np.sum(A * A / dom.lam, axis=-1)
+        if name == "modular":
+            return np.atleast_1d(young_modular(dom, self.drift.psi, self["values"]))
+        if name == "R":
+            return self["modular"] + self["h_norm_sq"]
+        if name == "sup_abs":
+            return np.max(np.abs(self["values"]), axis=-1)
+        return C[:, int(name[5:]) - 1]
 
 
 def _merge_moments(nA, meanA, M2A, nB, meanB, M2B):
@@ -534,7 +557,6 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
         save_idx.append(n_steps)
     save_set = {k: i for i, k in enumerate(save_idx)}
     S, K = len(save_idx), len(names)
-    int_names = [n for n in names if n.startswith("int_")]
 
     total_n, total_mean, total_M2 = 0, np.zeros((S, K)), np.zeros((S, K))
     for start in range(0, ensemble_size, chunk):
@@ -543,17 +565,17 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
         inc = np.empty((P, n_steps, noise.n_modes))
         for i, pidx in enumerate(idxs):
             inc[i] = increments_for_path(noise, n_steps, config.dt, master_seed, pidx)
-        cums = {n: np.zeros(P) for n in int_names}
+        cums = {n: np.zeros(P) for n in names if n.startswith("int_")}
         samples = np.empty((S, P, K))
         for k, t, Z, _ in _time_loop(config, dom, drift, noise,
                                      np.repeat(starts, P, axis=0), inc, start):
-            C, CY = Z[:P], (Z[P:] if Y0 is not None else None)
+            obs = _Observables(dom, drift, t, Z[:P], Z[P:] if Y0 is not None else None)
             if k in save_set:
-                samples[save_set[k]] = _eval_observables(names, dom, drift, t, C,
-                                                         CY, cums)
+                samples[save_set[k]] = np.stack(
+                    [cums[n] if n in cums else obs[n] for n in names], axis=-1)
             if k < n_steps:
-                for n in int_names:  # left-endpoint rule, matching the step scheme
-                    cums[n] += config.dt * _eval_plain(n[4:], dom, drift, t, C, CY, {})
+                for n in cums:  # left-endpoint rule, matching the step scheme
+                    cums[n] += config.dt * obs[n[4:]]
         chunk_mean = samples.mean(axis=1)
         chunk_M2 = np.sum((samples - chunk_mean[:, None, :]) ** 2, axis=1)
         total_n, total_mean, total_M2 = _merge_moments(

@@ -80,14 +80,9 @@ class Delta2ViolationError(YoungFunctionError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Finite positive measure on sample points, m(g) = sum_i w_i g_i.
-
-    ``finite`` records whether the underlying space has finite total mass;
-    it controls the additive constants in Delta_2-type inequalities.
-    """
+    """Finite positive measure on sample points, m(g) = sum_i w_i g_i."""
 
     weights: np.ndarray
-    finite: bool = True
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -221,17 +216,14 @@ YoungLike = Union[PowerSumYoung, LogPowerYoung, TableYoung, "DualYoung"]
 # ---------------------------------------------------------------------------
 
 
-def _dual_single_power(coeff: float, p: float, s):
-    """Dual of c|s|^p in closed form: the conjugate exponent power.
+def _conjugate_power(coeff: float, p: float):
+    """The dual of c|s|^p as (const, q) with N*(s) = const |s|^q.
 
     sup_r (r y - c r^p) is attained at r = (y/(c p))^(1/(p-1)) and equals
     (p-1) p^(-p/(p-1)) c^(-1/(p-1)) y^(p/(p-1)).
     """
     q = p / (p - 1.0)
-    const = (p - 1.0) * p ** (-q) * coeff ** (-1.0 / (p - 1.0))
-    y = np.abs(np.asarray(s, dtype=float))
-    out = const * y**q
-    return out if out.ndim else float(out)
+    return (p - 1.0) * p ** (-q) * coeff ** (-1.0 / (p - 1.0)), q
 
 
 def _dual_numeric(young, s, tol: float = 1e-12):
@@ -286,9 +278,11 @@ def _dual_numeric(young, s, tol: float = 1e-12):
 def dual_eval(young: YoungLike, s, tol: float = 1e-12):
     """Evaluate the convex dual N*(s), closed form where one exists."""
     sp = young.single_power() if hasattr(young, "single_power") else None
-    if sp is not None:
-        return _dual_single_power(sp[0], sp[1], s)
-    return _dual_numeric(young, s, tol=tol)
+    if sp is None:
+        return _dual_numeric(young, s, tol=tol)
+    const, q = _conjugate_power(*sp)
+    out = const * np.abs(np.asarray(s, dtype=float)) ** q
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -302,12 +296,7 @@ class DualYoung:
 
     def single_power(self):
         sp = self.base.single_power() if hasattr(self.base, "single_power") else None
-        if sp is None:
-            return None
-        coeff, p = sp
-        q = p / (p - 1.0)
-        const = (p - 1.0) * p ** (-q) * coeff ** (-1.0 / (p - 1.0))
-        return const, q
+        return None if sp is None else _conjugate_power(*sp)
 
 
 def young_dual(young: YoungLike) -> DualYoung:
@@ -377,7 +366,7 @@ def _verify_power_growth(young, q: float, finite: bool, r_grid, s_grid) -> None:
 
 
 @functools.lru_cache(maxsize=256)
-def delta2_exponent(young: YoungLike, finite: bool = True, verify: bool = True) -> float:
+def delta2_exponent(young: YoungLike, finite: bool = True) -> float:
     """Power-growth exponent q > 2 with N(r s) <= r^q (N(s) + 2*1_finite), r >= 2.
 
     q = 2 log2(C) for the doubling constant C, via iterating the doubling
@@ -388,14 +377,13 @@ def delta2_exponent(young: YoungLike, finite: bool = True, verify: bool = True) 
     """
     c = delta2_constant(young, finite=finite)
     q = max(2.0 * math.log2(c), 2.0 + 1e-9)
-    if verify:
-        r_grid, s_grid = _DELTA2_R_GRID, _DELTA2_S_GRID
-        if isinstance(young, TableYoung):
-            s_grid = s_grid[s_grid * r_grid[-1] <= young.s_max]
-            if s_grid.size == 0:
-                s_top = young.s_max / r_grid[-1]
-                s_grid = np.geomspace(s_top * 1e-4, s_top, 25)
-        _verify_power_growth(young, q, finite, r_grid, s_grid)
+    r_grid, s_grid = _DELTA2_R_GRID, _DELTA2_S_GRID
+    if isinstance(young, TableYoung):
+        s_grid = s_grid[s_grid * r_grid[-1] <= young.s_max]
+        if s_grid.size == 0:
+            s_top = young.s_max / r_grid[-1]
+            s_grid = np.geomspace(s_top * 1e-4, s_top, 25)
+    _verify_power_growth(young, q, finite, r_grid, s_grid)
     return q
 
 
@@ -417,13 +405,11 @@ def validate_young(young: YoungLike, s_grid: np.ndarray | None = None) -> None:
         raise YoungFunctionError("N must be even")
     if np.any(np.diff(vals) <= 0):
         raise YoungFunctionError("N must be strictly increasing on s > 0")
-    mid = np.sqrt(s_grid[:-1] * s_grid[1:])
     if np.any(
         np.asarray(young(0.5 * (s_grid[:-1] + s_grid[1:])), dtype=float)
         > 0.5 * (vals[:-1] + vals[1:]) * (1 + 1e-9)
     ):
         raise YoungFunctionError("N must be convex")
-    del mid
     slope = vals / s_grid
     if np.any(np.diff(slope) < -1e-12 * slope[:-1]):
         raise YoungFunctionError("N(s)/s must be nondecreasing (convexity with N(0)=0)")
@@ -468,11 +454,8 @@ def luxemburg_norm(
         raise YoungFunctionError("failed to bracket the Luxemburg norm from above")
     lo = hi
     for _ in range(400):
-        cand = lo / 2.0
-        if modular(cand) <= 1.0:
-            lo = cand
-        else:
-            lo = cand
+        lo /= 2.0
+        if not modular(lo) <= 1.0:
             break
     else:
         return 0.0  # modular stays <= 1 for arbitrarily small lam: norm is 0

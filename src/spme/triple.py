@@ -72,7 +72,7 @@ class SpectralDomain:
         return np.asarray(coeffs, dtype=float) @ self.basis
 
     def measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure(np.full(self.n_grid, self.h), finite=True)
+        return DiscreteMeasure(np.full(self.n_grid, self.h))
 
     def integrate(self, values: np.ndarray) -> float:
         """m(f) = h * sum_i f_i."""

@@ -13,17 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import DriftSpec
-from .galerkin import StatTable, StepperConfig, Trajectory, simulate
+from .galerkin import StatTable, StepperConfig, Trajectory, simulate, write_csv
 from .noise import NoiseSpec, increments_for_path, refine_increments
 from .triple import Field, SpectralDomain
-
-
-def _write_csv(path, header, columns) -> None:
-    columns = [np.asarray(c) for c in columns]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(columns[0])):
-            fh.write(",".join(format(c[i], ".17g") for c in columns) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -72,15 +64,11 @@ class ItoLedger:
 
     def to_csv(self, path) -> None:
         pad = [np.nan]  # per-step columns are one shorter than the time grid
-        _write_csv(
-            path,
-            ["t", "h_norm_sq", "pairing", "hs", "martingale", "residual"],
-            [self.times, self.h_norm_sq,
-             np.concatenate([self.pairing, pad]),
-             np.concatenate([self.hs, pad]),
-             np.concatenate([self.martingale, pad]),
-             self.residuals],
-        )
+        cols = [self.times, self.h_norm_sq, np.concatenate([self.pairing, pad]),
+                np.concatenate([self.hs, pad]), np.concatenate([self.martingale, pad]),
+                self.residuals]
+        write_csv(path, ["t", "h_norm_sq", "pairing", "hs", "martingale", "residual"],
+                  np.column_stack(cols).tolist())
 
 
 def ito_ledger(traj: Trajectory) -> ItoLedger:
@@ -173,7 +161,8 @@ class ContractionReport:
                 f"(n={self.n_paths} pairs, {len(self.times_used)} times)")
 
     def to_csv(self, path) -> None:
-        _write_csv(path, ["t", "log_mean_dist_sq"], [self.times_used, self.log_means])
+        write_csv(path, ["t", "log_mean_dist_sq"],
+                  np.column_stack([self.times_used, self.log_means]).tolist())
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -250,8 +239,8 @@ class EnergyReport:
                 f"sup_t E|X|_H^2={self.sup_mean_h_norm_sq:.6g} (n={self.n_paths})")
 
     def to_csv(self, path) -> None:
-        _write_csv(path, ["t", "lhs", "rhs", "band"],
-                   [self.times, self.lhs, self.rhs, self.band])
+        write_csv(path, ["t", "lhs", "rhs", "band"],
+                  np.column_stack([self.times, self.lhs, self.rhs, self.band]).tolist())
 
 
 def energy_estimate(stats: StatTable, constants: dict, dt: float) -> EnergyReport:
@@ -313,6 +302,14 @@ def extinction_time(traj: Trajectory, eps: float):
 # ---------------------------------------------------------------------------
 
 
+def is_linear_additive(drift: DriftSpec, noise: NoiseSpec) -> bool:
+    """Whether the model is the linear equation (Psi = id, Phi = 0) with
+    additive noise, the one setting with closed-form moments and rate."""
+    psi, phi = drift.psi, drift.phi
+    return (psi.terms == ((1.0, 1.0),) and psi.modulation is None and phi.h_const == 0.0
+            and phi.h_func is None and not phi.phi0_terms and noise.mult is None)
+
+
 def ou_oracle(dom: SpectralDomain, noise: NoiseSpec, X0: Field, t: float,
               drift: DriftSpec | None = None):
     """Per-mode (mean, variance) for the linear equation with additive noise.
@@ -320,16 +317,11 @@ def ou_oracle(dom: SpectralDomain, noise: NoiseSpec, X0: Field, t: float,
     Mode k decouples into a scalar Ornstein--Uhlenbeck equation:
     mean exp(-lam_k t) X0_k, variance sigma_k^2 (1 - exp(-2 lam_k t)) / (2 lam_k).
     """
-    if drift is not None:
-        linear = (drift.psi.terms == ((1.0, 1.0),) and drift.psi.modulation is None
-                  and drift.psi.log_power is None)
-        trivial_phi = (drift.phi.h_const == 0.0 and drift.phi.h_func is None
-                       and not drift.phi.phi0_terms)
-        if not (linear and trivial_phi and noise.mult is None):
-            raise ValueError(
-                "closed-form oracle requires the linear drift (Psi=id, Phi=0) "
-                "with additive noise"
-            )
+    if drift is not None and not is_linear_additive(drift, noise):
+        raise ValueError(
+            "closed-form oracle requires the linear drift (Psi=id, Phi=0) "
+            "with additive noise"
+        )
     if t < 0:
         raise ValueError("t must be nonnegative")
     lam = dom.lam
@@ -369,8 +361,9 @@ class ErgodicityReport:
                 f"{self.time_avg_band:.3g} (n={self.n_paths} per start)")
 
     def to_csv(self, path) -> None:
-        _write_csv(path, ["t", "abs_diff", "bound", "combined_se"],
-                   [self.times, self.diff, self.bound, self.combined_se])
+        write_csv(path, ["t", "abs_diff", "bound", "combined_se"],
+                  np.column_stack([self.times, self.diff, self.bound,
+                                   self.combined_se]).tolist())
 
 
 def ergodicity_test(stats_x: StatTable, stats_y: StatTable, observable: str,

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from spme import cli
+from spme.galerkin import monte_carlo, simulate
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -235,3 +237,94 @@ def test_random_initial_depends_only_on_seed(tmp_path):
     a = (tmp_path / "a" / "trajectory.csv").read_bytes()
     b = (tmp_path / "b" / "trajectory.csv").read_bytes()
     assert a != b  # a different master seed draws a different start
+
+
+_PME = {"mode": "A1", "psi": {"terms": [[1.0, 2.0]]}}
+
+# One case per subcommand (check-conditions in both modes).  ito-check,
+# ergodicity and check-conditions in mode A2 pass here; elsewhere they are
+# tested only on their config errors.
+_EVERY_SUBCOMMAND = {
+    "simulate": ("simulate", dict(observables=["h_norm_sq", "R", "mode_2", "int_sup_abs"]),
+                 0, "PASS simulate"),
+    "check-conditions-A1": ("check-conditions",
+                            dict(drift={"mode": "A1",
+                                        "psi": {"terms": [[1.0, 1.0], [-5.0, 3.0]]}}),
+                            1, "FAIL A1"),
+    "check-conditions-A2": ("check-conditions",
+                            dict(drift={"mode": "A2", "psi": {"terms": [[1.0, 3.0]]}}),
+                            0, "PASS A2: 0 violations"),
+    "ito-check": ("ito-check", dict(ito={"dts": [0.002, 0.001, 0.0005]}),
+                  0, "PASS ito-refinement: order="),
+    "contraction": ("contraction", dict(stepper={"dt": 0.001, "T": 0.1, "n_modes": 1},
+                                        run={"ensemble_size": 100, "master_seed": 3,
+                                             "save_every": 25},
+                                        contraction={"declared_c": 0.0}),
+                    0, "PASS contraction"),
+    "energy": ("energy", dict(drift=_PME, stepper={"dt": 0.0025, "T": 0.05, "n_modes": 8},
+                              run={"ensemble_size": 16, "master_seed": 9, "save_every": 1},
+                              initial={"shape": "bump", "amplitude": 0.5},
+                              energy={"falsify_factor": 10.0}),
+               0, "PASS energy-falsifier"),
+    "extinction": ("extinction", dict(drift=_PME, stepper={"dt": 0.001, "T": 0.05, "n_modes": 8,
+                                                           "scheme": "semi-implicit"},
+                                      noise={"sigma0": 0.0, "decay": 1.0, "n_modes": 1},
+                                      extinction={"expect": "survive"}),
+                   0, "PASS extinction"),
+    "ou-oracle": ("ou-oracle", dict(run={"ensemble_size": 64, "master_seed": 5,
+                                         "save_every": 50},
+                                    ou={"times": [0.05, 0.1]}),
+                  0, "PASS ou-oracle"),
+    "ergodicity": ("ergodicity", dict(stepper={"dt": 0.001, "T": 1.5, "n_modes": 8},
+                                      run={"ensemble_size": 64, "master_seed": 5,
+                                           "save_every": 10},
+                                      ergodicity={"declared_c": "auto"}),
+                   0, "PASS ergodicity[mode_1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EVERY_SUBCOMMAND))
+def test_every_out_table_has_one_format(tmp_path, capsys, case):
+    # Every table: LF line endings, a header naming each column, and float
+    # cells written .17g, so each parses back to the double it came from.
+    subcommand, overrides, code, line = _EVERY_SUBCOMMAND[case]
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert _run(subcommand, "--config", cfg, "--out", out) == code
+    assert line in capsys.readouterr().out
+    tables = sorted(p.name for p in out.glob("*.csv"))
+    assert tables and json.loads((out / "manifest.json").read_text())["outputs"] == tables
+    for name in tables:
+        raw = (out / name).read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n"), name
+        header, *rows = raw.decode().split("\n")[:-1]
+        assert rows, name
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == len(header.split(",")), name
+            for cell in cells:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a label such as the report name
+                assert format(value, ".17g") == cell, (name, cell)
+
+
+def test_simulate_tables_hold_the_run_values(tmp_path):
+    cfg_path = _write_config(tmp_path, observables=["h_norm_sq", "int_modular"])
+    assert _run("simulate", "--config", cfg_path, "--out", tmp_path / "out") == 0
+    cfg = json.loads(cfg_path.read_text())
+    dom, drift = cli._build_domain(cfg), cli._build_drift(cfg)
+    noise, stepper = cli._build_noise(cfg), cli._build_stepper(cfg)
+    X0 = cli._build_initial(cfg["initial"], dom, 42, "initial")
+    traj = simulate(stepper, dom, drift, noise, X0, 42, 0)
+    stats = monte_carlo(stepper, dom, drift, noise, X0, 42, 8, ("h_norm_sq", "int_modular"),
+                        save_every=10)
+
+    def table(name):
+        return np.loadtxt(tmp_path / "out" / name, delimiter=",", skiprows=1, ndmin=2)
+
+    expected = np.column_stack([traj.times, traj.coeff_matrix()])
+    assert np.array_equal(table("trajectory.csv"), expected)
+    moments = np.stack([stats.mean, stats.var, stats.se], axis=-1).reshape(len(stats.times), -1)
+    assert np.array_equal(table("stats.csv"), np.column_stack([stats.times, moments]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+import spme.galerkin as galerkin
 from spme.drift import DriftSpec, PhiSpec, PsiSpec, assemble_A, psi_eval, psi_prime
 from spme.galerkin import (
     _JACOBIAN_FLOOR,
@@ -266,6 +267,34 @@ def test_monte_carlo_convergence_error_names_path(seed, start, path):
         monte_carlo(cfg, dom, PME, nz, X0, seed, 6, ("dist_sq",), Y0=Y0, chunk=2)
     assert ens.value.path == sim.value.path == path
     assert ens.value.step == sim.value.step
+
+
+# Zero starts driven by noise, so the paths part ways; at these seeds path 5
+# fails strictly before every other path (simulate alone: blow-up at step 26,
+# the next at 27; the guard at step 7, the next at 8).  T ends at the failing
+# step, so with chunk=3 the first chunk (paths 0-2) finishes and the failure
+# comes from row 2 of the second chunk.
+_GROWTH = DriftSpec(psi=PsiSpec(), phi=PhiSpec(h_const=100.0), mode="A1")
+_CUBE = DriftSpec(psi=PsiSpec(terms=((1.0, 3.0),)), phi=PhiSpec(), mode="A1")
+
+
+@pytest.mark.parametrize("error, n_grid, drift, sigma, dt, steps, seed, chunk", [
+    (BlowUpError, 4, _GROWTH, (1e300,), 0.01, 26, 14, 8),
+    (StabilityError, 8, _CUBE, (3.0, 1.0), 2e-3, 7, 15, 3),
+], ids=["blow-up", "stability"])
+def test_step_failures_name_path_and_step(error, n_grid, drift, sigma, dt, steps, seed,
+                                          chunk):
+    # The blow-up case keeps one chunk: a finished chunk of near-overflow
+    # states would overflow in the moment reduction instead.
+    dom = SpectralDomain(n_grid)
+    cfg = StepperConfig(dt=dt, T=steps * dt, n_modes=n_grid)
+    nz = NoiseSpec(sigma=sigma)
+    with pytest.raises(error) as sim:
+        simulate(cfg, dom, drift, nz, Field.zero(dom), seed, path_idx=5)
+    with pytest.raises(error) as ens:
+        monte_carlo(cfg, dom, drift, nz, Field.zero(dom), seed, 8, ("mode_1",), chunk=chunk)
+    assert (sim.value.path, sim.value.step) == (5, steps)
+    assert (ens.value.path, ens.value.step) == (5, steps)
 
 
 def test_richardson_implicit_minus_explicit_second_order():
@@ -532,6 +561,42 @@ def test_monte_carlo_raises_step_failures(scheme, error):
     cfg = StepperConfig(dt=dt, T=2 * dt, n_modes=32, scheme=scheme, implicit_max_iter=1)
     with pytest.raises(error):
         monte_carlo(cfg, dom, PME, ZERO_NOISE, X0, 0, 3, ("dist_sq",), Y0=Field.zero(dom))
+
+
+def test_monte_carlo_evaluates_each_observable_once_per_step(monkeypatch):
+    # An int_* accumulator shares its base observable with the saved column,
+    # and the grid-based observables share one grid view per step: adding the
+    # int_* names costs no extra drift or transform call.
+    calls = {"drift_coeffs": 0, "from_spectral": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(galerkin, "drift_coeffs", counted("drift_coeffs", galerkin.drift_coeffs))
+    monkeypatch.setattr(SpectralDomain, "from_spectral",
+                        counted("from_spectral", SpectralDomain.from_spectral))
+    dom, nz, X0, _ = _small_setup()
+    cfg = StepperConfig(dt=1e-3, T=1e-2, n_modes=8)
+
+    def run(names):
+        calls.update(drift_coeffs=0, from_spectral=0)
+        st = monte_carlo(cfg, dom, PME, nz, X0, 3, 4, names)
+        return st, dict(calls)
+
+    # 10 steps and 11 saved times: one call per step plus one per saved time.
+    _, base = run(("drift_norm_sq",))
+    st, both = run(("drift_norm_sq", "int_drift_norm_sq"))
+    assert both == base == {"drift_coeffs": 21, "from_spectral": 21}
+    _, base = run(("modular", "sup_abs"))
+    _, both = run(("modular", "sup_abs", "int_modular", "int_sup_abs", "R", "int_R"))
+    assert both["from_spectral"] == base["from_spectral"] == 21
+    # A repeated int_* name reads the same accumulator, added to once a step.
+    dup, _ = run(("int_drift_norm_sq", "int_drift_norm_sq"))
+    np.testing.assert_array_equal(dup.mean[:, 0], st.mean_of("int_drift_norm_sq"))
+    np.testing.assert_array_equal(dup.mean[:, 1], st.mean_of("int_drift_norm_sq"))
 
 
 def test_monte_carlo_zero_paths():

@@ -7,13 +7,14 @@ import pytest
 
 from spme.drift import DriftSpec, PhiSpec, PsiSpec, declared_constants
 from spme.galerkin import StepperConfig, monte_carlo, simulate
-from spme.noise import NoiseSpec, power_decay_sigma
+from spme.noise import NoiseSpec, RhoFactor, power_decay_sigma
 from spme.triple import Field, SpectralDomain, h_norm
 from spme.verify import (
     contraction_test,
     energy_estimate,
     ergodicity_test,
     extinction_time,
+    is_linear_additive,
     ito_ledger,
     ito_refinement_study,
     ito_residual,
@@ -392,6 +393,25 @@ def test_ou_oracle_rejects_nonlinear_specs():
     assert linear_ok[0].shape == (8,)
     with pytest.raises(ValueError):
         ou_oracle(dom, noise, X0, -1.0)
+
+
+@pytest.mark.parametrize("phi, mult, linear", [
+    (PhiSpec(), None, True),
+    # A declared sup|h| of 0 does not make a time-varying h vanish.
+    (PhiSpec(h_func=lambda t: 0.1 * t, h_sup=0.0), None, False),
+    (PhiSpec(), RhoFactor(0.5, 1.5), False),
+], ids=["linear", "time-varying-h", "multiplicative-noise"])
+def test_linear_additive_model_is_one_test(phi, mult, linear):
+    # ou_oracle and the ergodicity command's automatic rate share this test.
+    dom = SpectralDomain(8)
+    noise = NoiseSpec(sigma=(0.2, 0.1), mult=mult)
+    drift = DriftSpec(psi=LINEAR.psi, phi=phi, mode="A1")
+    assert is_linear_additive(drift, noise) is linear
+    if linear:
+        ou_oracle(dom, noise, _sine_start(dom), 1.0, drift=drift)
+    else:
+        with pytest.raises(ValueError, match="linear drift"):
+            ou_oracle(dom, noise, _sine_start(dom), 1.0, drift=drift)
 
 
 # ---------------------------------------------------------------------------
