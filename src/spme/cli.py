@@ -620,7 +620,8 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     except BlowUpError as exc:
-        print(f"blow-up: {exc} (path {exc.path}, step {exc.step})", file=sys.stderr)
+        path = "" if exc.path is None else f"path {exc.path}, "
+        print(f"blow-up: {exc} ({path}step {exc.step})", file=sys.stderr)
         return 3
     except Exception as exc:  # stability refusals, convergence failures, ...
         print(f"error: {exc}", file=sys.stderr)

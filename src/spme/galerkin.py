@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .drift import DriftSpec, drift_coeffs, phi0_eval, psi_eval, psi_prime, psi_prime_max, young_modular
-from .noise import NoiseSpec, increments_for_path, rho_factor
+from .noise import NoiseSpec, increments_for_path, path_stream, rho_factor
 from .triple import Field, SpectralDomain
 
 SCHEMES = ("explicit", "semi-implicit")
@@ -34,6 +34,10 @@ SCHEMES = ("explicit", "semi-implicit")
 #: singular fast-diffusion derivative cannot poison the linear solve.  The
 #: clamp affects only the solver path; residuals use the exact Psi.
 _JACOBIAN_FLOOR = 1e-8
+
+#: Byte budget of one time block of ensemble increments: a batch of P paths
+#: draws max(1, _BLOCK_BYTES // (8 * P * n_modes)) steps at a time.
+_BLOCK_BYTES = 1 << 24
 
 
 class BlowUpError(RuntimeError):
@@ -351,25 +355,24 @@ def _initial_rows(config: StepperConfig, dom: SpectralDomain, noise: NoiseSpec,
     return rows
 
 
-def _time_loop(config: StepperConfig, dom, drift, noise, C, inc, first_path,
+def _time_loop(config: StepperConfig, dom, drift, noise, C, increments, first_path,
                records=False):
     """Yield ``(k, t_k, C_k, rec)`` for k = 0..n_steps, starting from batch C.
 
-    ``inc`` holds the increments of P paths, shape (P, n_steps, n_modes),
-    numbered from ``first_path``; C stacks blocks of P rows (X, then Y in a
-    paired run) and every block takes the same increments.  ``rec`` is the
-    ledger record of the step that led to C_k (None at k = 0 or without
-    ``records``).  Step failures leave with the path and the step.
+    ``increments`` yields each step's increments of P paths, shape
+    (P, n_modes), numbered from ``first_path``; C stacks blocks of P rows (X,
+    then Y in a paired run) and every block takes the same increments.
+    ``rec`` is the ledger record of the step that led to C_k (None at k = 0
+    or without ``records``).  Step failures leave with the path and the step.
     """
     guard = _StabilityGuard(dom, drift, config.dt, config.n_modes)
-    P = len(inc)
-    copies = len(C) // P
     yield 0, 0.0, C, None
-    for k in range(config.n_steps):
+    for k, dW in zip(range(config.n_steps), increments):
         t = k * config.dt
+        P = len(dW)
         try:
             C, rec = _step(config, dom, drift, noise, guard, t, C,
-                           np.tile(inc[:, k], (copies, 1)), records)
+                           dW if len(C) == P else np.tile(dW, (len(C) // P, 1)), records)
         except ConvergenceError as err:
             err.path, err.step = first_path + err.path % P, k + 1
             raise
@@ -402,7 +405,7 @@ def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     states = []
     drift_rec = np.empty((n_steps, dom.n_grid)) if config.record_ito else None
     diff_rec = np.empty((n_steps, noise.n_modes)) if config.record_ito else None
-    for k, _, C, rec in _time_loop(config, dom, drift, noise, C0, increments[None],
+    for k, _, C, rec in _time_loop(config, dom, drift, noise, C0, increments[:, None],
                                    path_idx, config.record_ito):
         states.append(Field.from_coeffs(dom, C[0]))
         if rec is not None:
@@ -531,21 +534,49 @@ def _merge_moments(nA, meanA, M2A, nB, meanB, M2B):
     return n, mean, M2
 
 
+def _increment_steps(noise: NoiseSpec, config: StepperConfig, master_seed: int,
+                     first: int, P: int):
+    """Yield each step's increments of paths first..first+P-1, shape (P, n_modes).
+
+    Every path keeps its own stream, continued one time block at a time, so
+    the numbers are those of a whole-path draw.  A block holds at most
+    ``_BLOCK_BYTES`` as (steps, P, n_modes): each step is a contiguous view.
+    """
+    n_steps, m = config.n_steps, noise.n_modes
+    width = max(1, min(n_steps, _BLOCK_BYTES // (8 * P * m)))
+    streams = [path_stream(master_seed, p) for p in range(first, first + P)]
+    block = np.empty((width, P, m))
+    for k0 in range(0, n_steps, width):
+        n = min(width, n_steps - k0)
+        for i, rng in enumerate(streams):
+            block[:n, i] = increments_for_path(noise, n, config.dt, master_seed, first + i,
+                                               stream=rng)
+        yield from block[:n]
+
+
 def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
                 noise: NoiseSpec, X0: Field, master_seed: int, ensemble_size: int,
                 observables, Y0: Field | None = None, save_every: int = 1,
-                chunk: int = 128) -> StatTable:
+                chunk: int = 1024) -> StatTable:
     """Ensemble statistics of the requested observables at the save times.
 
-    Paths run in chunks; with ``Y0`` each chunk stacks its Y paths below its
-    X paths on the same increments.  Chunk moments are combined with the
+    Paths run in batches of ``chunk``; with ``Y0`` each batch stacks its Y
+    paths below its X paths on the same increments.  The default batch is
+    the size past which the cost per path-step stops falling.  Increments are
+    drawn in time blocks and each save time is reduced as the loop reaches
+    it, so memory is O(chunk * n_grid) plus one block (``_BLOCK_BYTES``),
+    whatever the number of steps.  Batch moments are combined with the
     parallel mean/M2 merge.  The result is bitwise reproducible for a fixed
     chunk; other chunkings agree up to rounding (see the module docstring).
+    A non-finite moment of finite states (overflow in the reduction) raises
+    ``BlowUpError`` at the first save step where it occurs.
     """
     if ensemble_size < 2:
         raise ValueError("ensemble_size must be at least 2")
     if save_every < 1:
         raise ValueError("save_every must be at least 1")
+    if chunk < 1:
+        raise ValueError("chunk must be at least 1")
     names = tuple(observables)
     if not names:
         raise ValueError("at least one observable is required")
@@ -560,26 +591,33 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
 
     total_n, total_mean, total_M2 = 0, np.zeros((S, K)), np.zeros((S, K))
     for start in range(0, ensemble_size, chunk):
-        idxs = range(start, min(start + chunk, ensemble_size))
-        P = len(idxs)
-        inc = np.empty((P, n_steps, noise.n_modes))
-        for i, pidx in enumerate(idxs):
-            inc[i] = increments_for_path(noise, n_steps, config.dt, master_seed, pidx)
+        P = min(chunk, ensemble_size - start)
         cums = {n: np.zeros(P) for n in names if n.startswith("int_")}
-        samples = np.empty((S, P, K))
+        mean, M2 = np.empty((S, K)), np.empty((S, K))
         for k, t, Z, _ in _time_loop(config, dom, drift, noise,
-                                     np.repeat(starts, P, axis=0), inc, start):
-            obs = _Observables(dom, drift, t, Z[:P], Z[P:] if Y0 is not None else None)
-            if k in save_set:
-                samples[save_set[k]] = np.stack(
-                    [cums[n] if n in cums else obs[n] for n in names], axis=-1)
-            if k < n_steps:
-                for n in cums:  # left-endpoint rule, matching the step scheme
-                    cums[n] += config.dt * obs[n[4:]]
-        chunk_mean = samples.mean(axis=1)
-        chunk_M2 = np.sum((samples - chunk_mean[:, None, :]) ** 2, axis=1)
-        total_n, total_mean, total_M2 = _merge_moments(
-            total_n, total_mean, total_M2, P, chunk_mean, chunk_M2)
+                                     np.repeat(starts, P, axis=0),
+                                     _increment_steps(noise, config, master_seed, start, P),
+                                     start):
+            # Finite states can still overflow an observable or a moment;
+            # the check after the loop reports it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                obs = _Observables(dom, drift, t, Z[:P], Z[P:] if Y0 is not None else None)
+                if k in save_set:
+                    x = np.stack([cums[n] if n in cums else obs[n] for n in names], axis=-1)
+                    i = save_set[k]
+                    mean[i] = x.mean(axis=0)
+                    M2[i] = np.sum((x - mean[i]) ** 2, axis=0)
+                if k < n_steps:
+                    for n in cums:  # left-endpoint rule, matching the step scheme
+                        cums[n] += config.dt * obs[n[4:]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            total_n, total_mean, total_M2 = _merge_moments(
+                total_n, total_mean, total_M2, P, mean, M2)
+        finite = np.isfinite(total_mean).all(axis=-1) & np.isfinite(total_M2).all(axis=-1)
+        if not finite.all():
+            step = save_idx[int(np.argmin(finite))]
+            raise BlowUpError(f"non-finite ensemble moment at step {step} "
+                              f"(t={step * config.dt:.6g})", step=step)
 
     var = total_M2 / (total_n - 1)
     var = np.maximum(var, 0.0)

@@ -8,7 +8,9 @@ Lipschitz scalar factor (``rho = 1`` gives additive noise).  Since the modes
 
 Randomness policy: every path owns a child stream derived from
 ``SeedSequence([master_seed, path_idx])``, so ensembles are reproducible no
-matter how paths are scheduled or how the time axis is chunked.  Refining a
+matter how paths are scheduled or how the time axis is chunked.  Ensembles
+continue each path's stream one time block at a time, so their increment
+memory is one block, not paths x steps.  Refining a
 path to step ``dt/2`` uses a Brownian-bridge split whose midpoint draws come
 from a separate stream keyed by the refinement level; the two half-step
 increments always sum back to the coarse increment.
@@ -137,14 +139,18 @@ def _bridge_stream(master_seed: int, path_idx: int, level: int) -> np.random.Gen
 
 
 def increments_for_path(
-    spec: NoiseSpec, n_steps: int, dt: float, master_seed: int, path_idx: int
+    spec: NoiseSpec, n_steps: int, dt: float, master_seed: int, path_idx: int,
+    stream: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """All increments of one path, shape (n_steps, n_modes), row per step.
+    """Increments of one path, shape (n_steps, n_modes), row per step.
 
     Rows are drawn in C order from the path stream, so generating the array
-    in one call or in sequential row chunks yields identical numbers.
+    in one call or in sequential row chunks yields identical numbers.  With
+    ``stream`` (that path's ``path_stream``) the next ``n_steps`` rows are
+    drawn from it; ``monte_carlo`` draws its paths this way, one time block
+    at a time, and never holds a whole path.
     """
-    rng = path_stream(master_seed, path_idx)
+    rng = path_stream(master_seed, path_idx) if stream is None else stream
     return rng.normal(0.0, math.sqrt(dt), size=(n_steps, spec.n_modes))
 
 

@@ -124,6 +124,21 @@ def test_blow_up_exit_code(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+def test_moment_overflow_exit_code_names_the_step(tmp_path, capsys):
+    # Noise of 1e150 doubled every step: every state stays finite, but the
+    # ensemble moments overflow, which no single path causes.
+    cfg = _write_config(
+        tmp_path,
+        domain={"n_grid": 4, "alpha": 1.0},
+        drift={"mode": "A1", "psi": {"terms": []}, "phi": {"h": 100.0}},
+        stepper={"dt": 0.01, "T": 0.3, "n_modes": 4},
+        noise={"sigma0": 1e150, "decay": 1.0, "n_modes": 1},
+        initial={"shape": "zero"})
+    assert _run("simulate", "--config", cfg, "--out", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "non-finite ensemble moment" in err and "(step " in err and "path" not in err
+
+
 def test_extinction_expectation_mismatch_fails(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

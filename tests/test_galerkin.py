@@ -1,6 +1,7 @@
 """Tests for the steppers, single-path simulation, and the ensemble driver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,26 @@ def test_step_failures_name_path_and_step(error, n_grid, drift, sigma, dt, steps
     assert (ens.value.path, ens.value.step) == (5, steps)
 
 
+@pytest.mark.parametrize("chunk", [8, 3])
+def test_moment_overflow_of_finite_states_is_blow_up(chunk):
+    # Noise of 1e150 doubled every step: the states stay far below the
+    # overflow for all 30 steps, but the squared deviations of mode 1 overflow
+    # from about step 17.  The first batch reports its first such save step.
+    dom = SpectralDomain(4)
+    cfg = StepperConfig(dt=0.01, T=0.3, n_modes=4)
+    nz = NoiseSpec(sigma=(1e150,))
+    x = np.array([simulate(cfg, dom, _GROWTH, nz, Field.zero(dom), 14, p).coeff_matrix()[:, 0]
+                  for p in range(min(chunk, 8))]).T
+    assert np.abs(x).max() < 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        M2 = np.sum((x - x.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    first = int(np.argmin(np.isfinite(M2)))
+    assert 10 < first < cfg.n_steps
+    with pytest.raises(BlowUpError, match=f"moment at step {first} ") as err:
+        monte_carlo(cfg, dom, _GROWTH, nz, Field.zero(dom), 14, 8, ("mode_1",), chunk=chunk)
+    assert (err.value.path, err.value.step) == (None, first)
+
+
 def test_richardson_implicit_minus_explicit_second_order():
     # On a nonstiff configuration the schemes differ by O(dt^2): halving dt
     # should shrink the gap by ~4 (observed ratios 3.2, 3.5 at these dts).
@@ -561,6 +582,70 @@ def test_monte_carlo_raises_step_failures(scheme, error):
     cfg = StepperConfig(dt=dt, T=2 * dt, n_modes=32, scheme=scheme, implicit_max_iter=1)
     with pytest.raises(error):
         monte_carlo(cfg, dom, PME, ZERO_NOISE, X0, 0, 3, ("dist_sq",), Y0=Field.zero(dom))
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_monte_carlo_rejects_chunk_below_one(chunk):
+    dom, nz, X0, cfg = _small_setup()
+    with pytest.raises(ValueError, match="chunk must be at least 1"):
+        monte_carlo(cfg, dom, PME, nz, X0, 0, 4, ("h_norm_sq",), chunk=chunk)
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["unpaired", "paired"])
+@pytest.mark.parametrize("scheme", ["explicit", "semi-implicit"])
+def test_monte_carlo_block_size_does_not_matter(monkeypatch, scheme, paired):
+    # Blocks of 1 step and of 7 steps (7 does not divide the 40 steps) give
+    # the bits of the default, where the whole run is one block.
+    dom, _, X0, cfg = _small_setup()
+    cfg = StepperConfig(dt=cfg.dt, T=40 * cfg.dt, n_modes=cfg.n_modes, scheme=scheme)
+    nz = NoiseSpec(sigma=(0.4, 0.2), mult=RhoFactor(0.2, 1.5))
+    Y0 = Field.from_values(dom, 0.5 * np.sin(np.pi * dom.x)) if paired else None
+    names = ("h_norm_sq", "int_sup_abs", "mode_2") + (("dist_sq",) if paired else ())
+    draws = []
+    draw = galerkin.increments_for_path
+
+    def counted(noise, n_steps, *args, **kwargs):
+        draws.append(n_steps)
+        return draw(noise, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(galerkin, "increments_for_path", counted)
+
+    def run():
+        draws.clear()
+        return monte_carlo(cfg, dom, PME, nz, X0, 5, 7, names, Y0=Y0, save_every=3,
+                           chunk=3)
+
+    ref = run()
+    assert draws == [40] * 7
+    for steps in (1, 7):
+        # A full batch draws 3 paths x 2 modes x 8 bytes per step; the last
+        # batch, one path, draws blocks three times as long.
+        monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 48 * steps)
+        st = run()
+        assert draws[:3] == [steps] * 3 and sum(draws) == 7 * 40
+        for a, b in ((st.mean, ref.mean), (st.var, ref.var), (st.se, ref.se)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_monte_carlo_memory_does_not_grow_with_steps(monkeypatch):
+    # Blocks of 64 steps (32 KiB): four times the steps may not raise the
+    # peak allocation by one block.  Holding every increment of the batch
+    # would add 3 x 1500 steps x 8 paths x 8 modes x 8 bytes = 2.3 MB.
+    dom = SpectralDomain(8)
+    nz = NoiseSpec(sigma=(0.1,) * 8)
+    monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 64 * 8 * 8 * 8)
+
+    def peak(n_steps):
+        cfg = StepperConfig(dt=1e-4, T=n_steps * 1e-4, n_modes=8)
+        tracemalloc.start()
+        try:
+            monte_carlo(cfg, dom, LINEAR, nz, Field.zero(dom), 0, 8, ("h_norm_sq",),
+                        save_every=n_steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(6000) - peak(1500) < galerkin._BLOCK_BYTES
 
 
 def test_monte_carlo_evaluates_each_observable_once_per_step(monkeypatch):

@@ -182,6 +182,14 @@ def test_path_streams_reproducible_and_chunk_invariant():
     assert np.array_equal(np.vstack([c1, c2]), a)
 
 
+def test_increments_continue_a_given_stream():
+    # Blocks drawn from one path stream concatenate to the whole-path draw.
+    spec = NoiseSpec(sigma=(1.0, 2.0))
+    rng = path_stream(42, 7)
+    blocks = [increments_for_path(spec, n, 0.01, 42, 7, stream=rng) for n in (1, 59, 40)]
+    assert np.array_equal(np.vstack(blocks), increments_for_path(spec, 100, 0.01, 42, 7))
+
+
 def test_refinement_sums_back_exactly():
     spec = NoiseSpec(sigma=(1.0, 1.0, 1.0))
     dt = 2e-3
