@@ -35,6 +35,7 @@ from .drift import (
 from .galerkin import (
     BlowUpError,
     StepperConfig,
+    check_observables,
     monte_carlo,
     simulate,
     write_csv,
@@ -76,24 +77,37 @@ _KINDS = {
 
 
 def _typed(value, kind: str, path: str):
+    if kind == "auto":  # a float, or "auto" for a constant the command derives
+        return value if value == "auto" else _typed(value, "float", path)
     if not _KINDS[kind](value):
         raise ConfigError(path, f"expected {kind}, got {type(value).__name__}")
     return float(value) if kind == "float" else value
-
-
-def _get(section: dict, key: str, kind: str, path: str, default=None,
-         required: bool = False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    return _typed(section[key], kind, f"{path}.{key}")
 
 
 def _no_extra(section: dict, allowed, path: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}", "unknown key")
+
+
+def _read(sec: dict, path: str, **fields) -> dict:
+    """The typed values of config section `sec`, whose keys are `fields`.
+
+    Each field is its kind alone (a required key) or a (kind, default) pair.
+    Unknown keys are rejected before any value is read.
+    """
+    _no_extra(sec, fields, path)
+    out = {}
+    for key, field in fields.items():
+        required = isinstance(field, str)
+        kind, default = (field, None) if required else field
+        if key in sec:
+            out[key] = _typed(sec[key], kind, f"{path}.{key}")
+        elif required:
+            raise ConfigError(f"{path}.{key}", "missing required key")
+        else:
+            out[key] = default
+    return out
 
 
 def _section(cfg: dict, name: str, required: bool = False) -> dict:
@@ -104,18 +118,21 @@ def _section(cfg: dict, name: str, required: bool = False) -> dict:
     return _typed(cfg[name], "dict", name)
 
 
+def _items(raw: list, kind: str, path: str) -> list:
+    return [_typed(v, kind, f"{path}[{i}]") for i, v in enumerate(raw)]
+
+
 def _pair_list(raw, path: str):
     out = []
     for i, item in enumerate(raw):
         if not isinstance(item, list) or len(item) != 2:
             raise ConfigError(f"{path}[{i}]", "expected a [coeff, exponent] pair")
-        out.append((_typed(item[0], "float", f"{path}[{i}][0]"),
-                    _typed(item[1], "float", f"{path}[{i}][1]")))
+        out.append(tuple(_items(item, "float", f"{path}[{i}]")))
     return tuple(out)
 
 
 def _wrap_build(path: str, build, *args, **kwargs):
-    # Constructor validation errors become config errors naming the section.
+    # Library validation errors become config errors naming the section or key.
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
@@ -128,31 +145,25 @@ def _wrap_build(path: str, build, *args, **kwargs):
 
 
 def _build_domain(cfg: dict) -> SpectralDomain:
-    sec = _section(cfg, "domain", required=True)
-    _no_extra(sec, {"n_grid", "alpha"}, "domain")
-    n_grid = _get(sec, "n_grid", "int", "domain", required=True)
-    alpha = _get(sec, "alpha", "float", "domain", default=1.0)
-    return _wrap_build("domain", SpectralDomain, n_grid, alpha=alpha)
+    return _wrap_build("domain", SpectralDomain, **_read(
+        _section(cfg, "domain", required=True), "domain",
+        n_grid="int", alpha=("float", 1.0)))
 
 
 def _build_psi(sec: dict, path: str) -> PsiSpec:
-    _no_extra(sec, {"terms", "log_power", "modulation"}, path)
-    terms = _pair_list(_get(sec, "terms", "list", path, default=[]),
-                       f"{path}.terms")
-    log_power = None
-    if "log_power" in sec:
-        raw = _typed(sec["log_power"], "list", f"{path}.log_power")
-        if len(raw) != 2:
+    v = _read(sec, path, terms=("list", []), log_power=("list", None),
+              modulation=("dict", None))
+    terms = _pair_list(v["terms"], f"{path}.terms")
+    log_power = v["log_power"]
+    if log_power is not None:
+        if len(log_power) != 2:
             raise ConfigError(f"{path}.log_power", "expected [theta, r]")
-        log_power = (raw[0], raw[1])
+        log_power = tuple(log_power)
     modulation = None
-    if "modulation" in sec:
-        msec = _typed(sec["modulation"], "dict", f"{path}.modulation")
+    if v["modulation"] is not None:
         mpath = f"{path}.modulation"
-        _no_extra(msec, {"a_min", "a_max", "period"}, mpath)
-        a_min = _get(msec, "a_min", "float", mpath, required=True)
-        a_max = _get(msec, "a_max", "float", mpath, required=True)
-        period = _get(msec, "period", "float", mpath, required=True)
+        m = _read(v["modulation"], mpath, a_min="float", a_max="float", period="float")
+        a_min, a_max, period = m["a_min"], m["a_max"], m["period"]
         if not period > 0:
             raise ConfigError(f"{mpath}.period", "period must be positive")
         mid, amp = 0.5 * (a_min + a_max), 0.5 * (a_max - a_min)
@@ -165,62 +176,37 @@ def _build_psi(sec: dict, path: str) -> PsiSpec:
 
 
 def _build_drift(cfg: dict) -> DriftSpec:
-    sec = _section(cfg, "drift", required=True)
-    _no_extra(sec, {"mode", "psi", "phi", "f_const", "g_const"}, "drift")
-    mode = _get(sec, "mode", "str", "drift", default="A1")
-    psi = _build_psi(_typed(sec.get("psi", {}), "dict", "drift.psi"), "drift.psi")
-    phi_sec = _typed(sec.get("phi", {}), "dict", "drift.phi")
-    _no_extra(phi_sec, {"h", "phi0_terms"}, "drift.phi")
-    phi = _wrap_build(
-        "drift.phi", PhiSpec,
-        h_const=_get(phi_sec, "h", "float", "drift.phi", default=0.0),
-        phi0_terms=_pair_list(_get(phi_sec, "phi0_terms", "list", "drift.phi",
-                                   default=[]), "drift.phi.phi0_terms"))
-    return _wrap_build(
-        "drift", DriftSpec, psi=psi, phi=phi, mode=mode,
-        f_const=_get(sec, "f_const", "float", "drift", default=0.0),
-        g_const=_get(sec, "g_const", "float", "drift", default=0.0))
+    v = _read(_section(cfg, "drift", required=True), "drift",
+              mode=("str", "A1"), psi=("dict", {}), phi=("dict", {}),
+              f_const=("float", 0.0), g_const=("float", 0.0))
+    psi = _build_psi(v.pop("psi"), "drift.psi")
+    phi = _read(v.pop("phi"), "drift.phi", h=("float", 0.0), phi0_terms=("list", []))
+    phi = _wrap_build("drift.phi", PhiSpec, h_const=phi["h"], phi0_terms=_pair_list(
+        phi["phi0_terms"], "drift.phi.phi0_terms"))
+    return _wrap_build("drift", DriftSpec, psi=psi, phi=phi, **v)
 
 
 def _build_noise(cfg: dict) -> NoiseSpec:
-    sec = _section(cfg, "noise", required=True)
-    _no_extra(sec, {"sigma0", "decay", "n_modes", "mult"}, "noise")
-    sigma0 = _get(sec, "sigma0", "float", "noise", required=True)
-    decay = _get(sec, "decay", "float", "noise", default=1.0)
-    n_modes = _get(sec, "n_modes", "int", "noise", required=True)
-    if n_modes < 1:
+    v = _read(_section(cfg, "noise", required=True), "noise",
+              sigma0="float", decay=("float", 1.0), n_modes="int", mult=("dict", None))
+    if v["n_modes"] < 1:
         raise ConfigError("noise.n_modes", "need at least one mode")
-    if sigma0 < 0:
+    if v["sigma0"] < 0:
         raise ConfigError("noise.sigma0", "amplitude must be >= 0")
-    mult = None
-    if "mult" in sec:
-        msec = _typed(sec["mult"], "dict", "noise.mult")
-        _no_extra(msec, {"rho_min", "rho_max"}, "noise.mult")
-        mult = _wrap_build(
-            "noise.mult", RhoFactor,
-            rho_min=_get(msec, "rho_min", "float", "noise.mult", required=True),
-            rho_max=_get(msec, "rho_max", "float", "noise.mult", required=True))
-    k = np.arange(1, n_modes + 1, dtype=float)
-    return NoiseSpec(sigma=tuple(sigma0 * k**-decay), mult=mult)
+    mult = v["mult"]
+    if mult is not None:
+        mult = _wrap_build("noise.mult", RhoFactor, **_read(
+            mult, "noise.mult", rho_min="float", rho_max="float"))
+    k = np.arange(1, v["n_modes"] + 1, dtype=float)
+    return NoiseSpec(sigma=tuple(v["sigma0"] * k**-v["decay"]), mult=mult)
 
 
 def _build_stepper(cfg: dict) -> StepperConfig:
-    sec = _section(cfg, "stepper", required=True)
-    allowed = {"dt", "T", "n_modes", "scheme", "record_ito", "implicit_tol",
-               "implicit_max_iter"}
-    _no_extra(sec, allowed, "stepper")
-    kwargs = dict(
-        dt=_get(sec, "dt", "float", "stepper", required=True),
-        T=_get(sec, "T", "float", "stepper", required=True),
-        n_modes=_get(sec, "n_modes", "int", "stepper", required=True),
-        scheme=_get(sec, "scheme", "str", "stepper", default="explicit"),
-        record_ito=_get(sec, "record_ito", "bool", "stepper", default=False),
-    )
-    if "implicit_tol" in sec:
-        kwargs["implicit_tol"] = _get(sec, "implicit_tol", "float", "stepper")
-    if "implicit_max_iter" in sec:
-        kwargs["implicit_max_iter"] = _get(sec, "implicit_max_iter", "int", "stepper")
-    return _wrap_build("stepper", StepperConfig, **kwargs)
+    return _wrap_build("stepper", StepperConfig, **_read(
+        _section(cfg, "stepper", required=True), "stepper",
+        dt="float", T="float", n_modes="int", scheme=("str", StepperConfig.scheme),
+        implicit_tol=("float", StepperConfig.implicit_tol),
+        implicit_max_iter=("int", StepperConfig.implicit_max_iter)))
 
 
 _SHAPES = ("bump", "eigenmode", "random", "zero")
@@ -228,32 +214,34 @@ _SHAPES = ("bump", "eigenmode", "random", "zero")
 
 def _build_initial(sec: dict, dom: SpectralDomain, master_seed: int,
                    path: str) -> Field:
-    _no_extra(sec, {"shape", "amplitude", "center", "width", "k", "gamma"}, path)
-    shape = _get(sec, "shape", "str", path, required=True)
+    v = _read(sec, path, shape="str", amplitude=("float", 1.0), center=("float", 0.5),
+              width=("float", 0.15), k=("int", 1), gamma=("float", 1.0))
+    shape, amp = v["shape"], v["amplitude"]
     if shape not in _SHAPES:
         raise ConfigError(f"{path}.shape", f"unknown shape (choose from {_SHAPES})")
-    amp = _get(sec, "amplitude", "float", path, default=1.0)
     if shape == "zero":
         return Field.zero(dom)
     if shape == "bump":
-        center = _get(sec, "center", "float", path, default=0.5)
-        width = _get(sec, "width", "float", path, default=0.15)
-        if not width > 0:
+        if not v["width"] > 0:
             raise ConfigError(f"{path}.width", "width must be positive")
-        return Field.from_values(dom, amp * np.exp(-((dom.x - center) / width) ** 2))
+        return Field.from_values(
+            dom, amp * np.exp(-((dom.x - v["center"]) / v["width"]) ** 2))
     if shape == "eigenmode":
-        k = _get(sec, "k", "int", path, default=1)
-        if not 1 <= k <= dom.n_grid:
+        if not 1 <= v["k"] <= dom.n_grid:
             raise ConfigError(f"{path}.k", f"mode index out of range 1..{dom.n_grid}")
         coeffs = np.zeros(dom.n_grid)
-        coeffs[k - 1] = amp
+        coeffs[v["k"] - 1] = amp
         return Field.from_coeffs(dom, coeffs)
     # random: independent Gaussian spectral coefficients with decay k^-gamma,
     # drawn from a stream derived from the master seed so runs reproduce.
-    gamma = _get(sec, "gamma", "float", path, default=1.0)
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0x1C0]))
     k = np.arange(1, dom.n_grid + 1, dtype=float)
-    return Field.from_coeffs(dom, amp * rng.standard_normal(dom.n_grid) * k**-gamma)
+    return Field.from_coeffs(dom, amp * rng.standard_normal(dom.n_grid) * k**-v["gamma"])
+
+
+def _initial(cfg: dict, dom: SpectralDomain, master_seed: int) -> Field:
+    return _build_initial(_section(cfg, "initial", required=True), dom, master_seed,
+                          "initial")
 
 
 _TOP_KEYS = {"domain", "drift", "noise", "stepper", "run", "initial",
@@ -281,7 +269,7 @@ def _resolve_seed(cli_seed, cfg: dict) -> int:
         return cli_seed
     run = _section(cfg, "run")
     if "master_seed" in run:
-        return _get(run, "master_seed", "int", "run")
+        return _typed(run["master_seed"], "int", "run.master_seed")
     env = os.environ.get("SPME_SEED")
     if env is not None:
         try:
@@ -293,15 +281,13 @@ def _resolve_seed(cli_seed, cfg: dict) -> int:
 
 
 def _run_params(cfg: dict):
-    sec = _section(cfg, "run")
-    _no_extra(sec, {"ensemble_size", "master_seed", "save_every"}, "run")
-    ensemble = _get(sec, "ensemble_size", "int", "run", default=8)
-    save_every = _get(sec, "save_every", "int", "run", default=1)
-    if ensemble < 2:
+    v = _read(_section(cfg, "run"), "run", ensemble_size=("int", 8),
+              master_seed=("int", None), save_every=("int", 1))
+    if v["ensemble_size"] < 2:
         raise ConfigError("run.ensemble_size", "need at least 2 paths")
-    if save_every < 1:
+    if v["save_every"] < 1:
         raise ConfigError("run.save_every", "must be >= 1")
-    return ensemble, save_every
+    return v["ensemble_size"], v["save_every"]
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +296,10 @@ def _run_params(cfg: dict):
 
 
 def _cmd_simulate(cfg, dom, drift, noise, stepper, seed, out):
-    X0 = _build_initial(_section(cfg, "initial", required=True), dom, seed,
-                        "initial")
+    X0 = _initial(cfg, dom, seed)
     ensemble, save_every = _run_params(cfg)
-    names = cfg.get("observables", ["h_norm_sq", "modular", "sup_abs"])
-    names = tuple(_typed(n, "str", f"observables[{i}]")
-                  for i, n in enumerate(_typed(names, "list", "observables")))
+    names = tuple(_items(_typed(cfg.get("observables", ["h_norm_sq", "modular", "sup_abs"]),
+                                "list", "observables"), "str", "observables"))
     traj = simulate(stepper, dom, drift, noise, X0, seed, 0)
     traj.to_csv(out / "trajectory.csv")
     try:
@@ -352,19 +336,17 @@ def _cmd_check_conditions(cfg, dom, drift, noise, stepper, seed, out):
 
 
 def _cmd_ito_check(cfg, dom, drift, noise, stepper, seed, out):
-    sec = _section(cfg, "ito")
-    _no_extra(sec, {"dts"}, "ito")
-    dts = sec.get("dts", [2e-3, 1e-3, 5e-4])
-    dts = [_typed(d, "float", f"ito.dts[{i}]") for i, d in enumerate(
-        _typed(dts, "list", "ito.dts"))]
+    v = _read(_section(cfg, "ito"), "ito", dts=("list", [2e-3, 1e-3, 5e-4]))
+    dts = _items(v["dts"], "float", "ito.dts")
     for i, dt in enumerate(dts):
         steps = stepper.T / dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError(f"ito.dts[{i}]", "T must be a multiple of each dt")
         if i and abs(dts[i - 1] - 2 * dt) > 1e-12 * dts[i - 1]:
             raise ConfigError(f"ito.dts[{i}]", "each dt must halve the previous")
-    X0 = _build_initial(_section(cfg, "initial", required=True), dom, seed,
-                        "initial")
+    if len(dts) < 2:
+        raise ConfigError("ito.dts", "need at least two step sizes to fit an order")
+    X0 = _initial(cfg, dom, seed)
     study = ito_refinement_study(dom, drift, noise, X0, seed, stepper.T,
                                  stepper.n_modes, dts, scheme=stepper.scheme)
     fine = StepperConfig(dt=dts[-1], T=stepper.T, n_modes=stepper.n_modes,
@@ -382,48 +364,42 @@ def _cmd_ito_check(cfg, dom, drift, noise, stepper, seed, out):
 
 
 def _cmd_contraction(cfg, dom, drift, noise, stepper, seed, out):
-    sec = _section(cfg, "contraction")
-    _no_extra(sec, {"declared_c", "groups", "transient_fraction", "floor", "y0"},
-              "contraction")
+    v = _read(_section(cfg, "contraction"), "contraction", declared_c=("auto", "auto"),
+              groups=("int", 1), transient_fraction=("float", 0.1),
+              floor=("float", 1e-12), y0=("dict", {"shape": "zero"}))
     ensemble, save_every = _run_params(cfg)
-    groups = _get(sec, "groups", "int", "contraction", default=1)
+    groups = v["groups"]
     if groups < 1 or ensemble % groups:
         raise ConfigError("contraction.groups",
                           f"groups must divide ensemble size {ensemble}")
-    X0 = _build_initial(_section(cfg, "initial", required=True), dom, seed,
-                        "initial")
-    y_sec = sec.get("y0", {"shape": "zero"})
-    Y0 = _build_initial(_typed(y_sec, "dict", "contraction.y0"), dom, seed,
-                        "contraction.y0")
-    declared = sec.get("declared_c", "auto")
+    if ensemble // groups < 2:
+        raise ConfigError("contraction.groups",
+                          f"each group needs at least 2 pairs, got {ensemble // groups}")
+    X0 = _initial(cfg, dom, seed)
+    Y0 = _build_initial(v["y0"], dom, seed, "contraction.y0")
+    declared = v["declared_c"]
     if declared == "auto":
         declared = declared_constants(dom, drift, noise)["c_h2"]
-    else:
-        declared = _typed(declared, "float", "contraction.declared_c")
     tables = [
         monte_carlo(stepper, dom, drift, noise, X0, seed + g, ensemble // groups,
                     ("dist_sq",), Y0=Y0, save_every=save_every)
         for g in range(groups)
     ]
-    rep = contraction_test(
-        tables[0] if groups == 1 else tables, declared_c=declared,
-        transient_fraction=_get(sec, "transient_fraction", "float",
-                                "contraction", default=0.1),
-        floor=_get(sec, "floor", "float", "contraction", default=1e-12))
+    rep = contraction_test(tables[0] if groups == 1 else tables, declared_c=declared,
+                           transient_fraction=v["transient_fraction"], floor=v["floor"])
     rep.to_csv(out / "contraction.csv")
     print(rep.summary())
     return (0 if rep.passed else 1), ["contraction.csv"]
 
 
 def _cmd_energy(cfg, dom, drift, noise, stepper, seed, out):
-    sec = _section(cfg, "energy")
-    _no_extra(sec, {"falsify_factor"}, "energy")
+    factor = _read(_section(cfg, "energy"), "energy",
+                   falsify_factor=("float", None))["falsify_factor"]
     ensemble, save_every = _run_params(cfg)
     if save_every != 1:
         raise ConfigError("run.save_every",
                           "the energy check needs statistics at every step")
-    X0 = _build_initial(_section(cfg, "initial", required=True), dom, seed,
-                        "initial")
+    X0 = _initial(cfg, dom, seed)
     consts = declared_constants(dom, drift, noise)
     stats = monte_carlo(stepper, dom, drift, noise, X0, seed, ensemble,
                         ("h_norm_sq", "R", "drift_norm_sq"))
@@ -432,8 +408,7 @@ def _cmd_energy(cfg, dom, drift, noise, stepper, seed, out):
     print(rep.summary())
     ok = rep.passed
     outputs = ["energy.csv"]
-    if "falsify_factor" in sec:
-        factor = _get(sec, "falsify_factor", "float", "energy")
+    if factor is not None:
         bad = dict(consts)
         bad["c2"] *= factor
         rep_bad = energy_estimate(stats, bad, stepper.dt)
@@ -449,15 +424,12 @@ def _cmd_energy(cfg, dom, drift, noise, stepper, seed, out):
 
 
 def _cmd_extinction(cfg, dom, drift, noise, stepper, seed, out):
-    sec = _section(cfg, "extinction")
-    _no_extra(sec, {"eps", "expect", "strict_decay"}, "extinction")
-    eps = _get(sec, "eps", "float", "extinction", default=1e-6)
-    expect = _get(sec, "expect", "str", "extinction", default="extinct")
+    v = _read(_section(cfg, "extinction"), "extinction", eps=("float", 1e-6),
+              expect=("str", "extinct"), strict_decay=("bool", False))
+    eps, expect, strict = v["eps"], v["expect"], v["strict_decay"]
     if expect not in ("extinct", "survive"):
         raise ConfigError("extinction.expect", "choose 'extinct' or 'survive'")
-    strict = _get(sec, "strict_decay", "bool", "extinction", default=False)
-    X0 = _build_initial(_section(cfg, "initial", required=True), dom, seed,
-                        "initial")
+    X0 = _initial(cfg, dom, seed)
     traj = simulate(stepper, dom, drift, noise, X0, seed, 0)
     sup = np.array([np.max(np.abs(s.values)) for s in traj.states])
     hn = np.array([h_norm(dom, s) for s in traj.states])
@@ -480,17 +452,15 @@ def _cmd_extinction(cfg, dom, drift, noise, stepper, seed, out):
 
 
 def _cmd_ou_oracle(cfg, dom, drift, noise, stepper, seed, out):
-    sec = _section(cfg, "ou")
-    _no_extra(sec, {"times"}, "ou")
-    times = [_typed(t, "float", f"ou.times[{i}]") for i, t in enumerate(
-        _typed(_get(sec, "times", "list", "ou", required=True), "list",
-               "ou.times"))]
+    times = _items(_read(_section(cfg, "ou"), "ou", times="list")["times"], "float",
+                   "ou.times")
+    if not times:
+        raise ConfigError("ou.times", "need at least one time")
     ensemble, save_every = _run_params(cfg)
     if noise.n_modes < stepper.n_modes:
         raise ConfigError("noise.n_modes",
                           "the oracle needs noise on every tracked mode")
-    X0 = _build_initial(_section(cfg, "initial", required=True), dom, seed,
-                        "initial")
+    X0 = _initial(cfg, dom, seed)
     # The closed form itself validates that the drift is the linear one.
     try:
         ou_oracle(dom, noise, X0, 0.0, drift=drift)
@@ -531,12 +501,12 @@ def _cmd_ou_oracle(cfg, dom, drift, noise, stepper, seed, out):
 
 
 def _cmd_ergodicity(cfg, dom, drift, noise, stepper, seed, out):
-    sec = _section(cfg, "ergodicity")
-    _no_extra(sec, {"observable", "lip", "declared_c", "y0", "tail_fraction",
-                    "y_seed"}, "ergodicity")
+    v = _read(_section(cfg, "ergodicity"), "ergodicity", observable=("str", "mode_1"),
+              lip=("auto", "auto"), declared_c=("auto", "auto"),
+              y0=("dict", {"shape": "zero"}), tail_fraction=("float", 0.5),
+              y_seed=("int", seed + 1))
     ensemble, save_every = _run_params(cfg)
-    observable = _get(sec, "observable", "str", "ergodicity", default="mode_1")
-    lip = sec.get("lip", "auto")
+    observable, lip, declared = v["observable"], v["lip"], v["declared_c"]
     if lip == "auto":
         m = re.fullmatch(r"mode_(\d+)", observable)
         if m is None:
@@ -547,32 +517,23 @@ def _cmd_ergodicity(cfg, dom, drift, noise, stepper, seed, out):
         if not 1 <= k <= dom.n_grid:
             raise ConfigError("ergodicity.observable", "mode index out of range")
         lip = math.sqrt(dom.lam[k - 1])
-    else:
-        lip = _typed(lip, "float", "ergodicity.lip")
-    declared = sec.get("declared_c", "auto")
+    _wrap_build("ergodicity.observable", check_observables, (observable,), paired=False)
     if declared == "auto":
         if not is_linear_additive(drift, noise):
             raise ConfigError("ergodicity.declared_c",
                               "auto rate exists only for the linear additive "
                               "setting; give declared_c explicitly")
         declared = -2.0 * dom.lam[0]
-    else:
-        declared = _typed(declared, "float", "ergodicity.declared_c")
-    X0 = _build_initial(_section(cfg, "initial", required=True), dom, seed,
-                        "initial")
-    y_sec = sec.get("y0", {"shape": "zero"})
-    Y0 = _build_initial(_typed(y_sec, "dict", "ergodicity.y0"), dom, seed,
-                        "ergodicity.y0")
-    y_seed = _get(sec, "y_seed", "int", "ergodicity", default=seed + 1)
+    X0 = _initial(cfg, dom, seed)
+    Y0 = _build_initial(v["y0"], dom, seed, "ergodicity.y0")
     stats_x = monte_carlo(stepper, dom, drift, noise, X0, seed, ensemble,
                           (observable,), save_every=save_every)
-    stats_y = monte_carlo(stepper, dom, drift, noise, Y0, y_seed, ensemble,
+    stats_y = monte_carlo(stepper, dom, drift, noise, Y0, v["y_seed"], ensemble,
                           (observable,), save_every=save_every)
     d0 = h_norm(dom, Field.from_coeffs(dom, X0.coeffs - Y0.coeffs))
     rep = ergodicity_test(stats_x, stats_y, observable, lip=lip,
                           declared_c=declared, x0_distance=d0,
-                          tail_fraction=_get(sec, "tail_fraction", "float",
-                                             "ergodicity", default=0.5))
+                          tail_fraction=v["tail_fraction"])
     rep.to_csv(out / "ergodicity.csv")
     print(rep.summary())
     return (0 if rep.passed else 1), ["ergodicity.csv"]

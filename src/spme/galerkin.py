@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .drift import DriftSpec, drift_coeffs, phi0_eval, psi_eval, psi_prime, psi_prime_max, young_modular
-from .noise import NoiseSpec, increments_for_path, path_stream, rho_factor
+from .noise import NoiseSpec, increments_for_path, path_stream
 from .triple import Field, SpectralDomain
 
 SCHEMES = ("explicit", "semi-implicit")
@@ -296,8 +296,11 @@ def _step(config: StepperConfig, dom, drift, noise, guard, t, C, dW, records=Fal
         )
     # Explicit overflow is the blow-up the time loop reports; keep it silent.
     with np.errstate(over="ignore", invalid="ignore") if explicit else nullcontext():
-        hn = np.sqrt(np.sum(C * C / dom.lam, axis=-1))
-        z = rho_factor(noise, hn)[:, None] * noise.sigma_array()
+        z = noise.sigma_array()
+        if noise.mult is None:
+            z = np.broadcast_to(z, (len(C), noise.n_modes))
+        else:
+            z = noise.mult(np.sqrt(np.sum(C * C / dom.lam, axis=-1)))[:, None] * z
         noise_c = np.zeros_like(C)
         noise_c[:, :noise.n_modes] = z * dW
         values = dom.from_spectral(C)
@@ -481,7 +484,8 @@ def _is_plain(name: str, paired: bool) -> bool:
     return name.startswith("mode_") and name[5:].isdigit() and int(name[5:]) >= 1
 
 
-def _check_observables(names, paired: bool) -> None:
+def check_observables(names, paired: bool) -> None:
+    """Raise ValueError for a name that ``monte_carlo`` cannot compute."""
     for name in names:
         base = name[4:] if name.startswith("int_") else name
         if not base or not _is_plain(base, paired):
@@ -580,7 +584,7 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     names = tuple(observables)
     if not names:
         raise ValueError("at least one observable is required")
-    _check_observables(names, paired=Y0 is not None)
+    check_observables(names, paired=Y0 is not None)
     starts = _initial_rows(config, dom, noise, [X0] if Y0 is None else [X0, Y0])
     n_steps = config.n_steps
     save_idx = list(range(0, n_steps + 1, save_every))

@@ -84,11 +84,9 @@ def power_decay_sigma(n_modes: int, sigma0: float, beta: float) -> NoiseSpec:
     return NoiseSpec(sigma=tuple(sigma0 * k**-beta))
 
 
-def rho_factor(spec: NoiseSpec, h_norm_value):
-    """rho evaluated at one or many H-norms (1.0 when the spec is additive)."""
-    x = np.asarray(h_norm_value, dtype=float)
-    out = np.ones_like(x) if spec.mult is None else spec.mult(x)
-    return float(out) if np.isscalar(h_norm_value) or x.ndim == 0 else out
+def rho_factor(spec: NoiseSpec, h_norm_value: float) -> float:
+    """rho evaluated at one H-norm (1.0 when the spec is additive)."""
+    return 1.0 if spec.mult is None else float(spec.mult(h_norm_value))
 
 
 def hs0_sq(spec: NoiseSpec, dom: SpectralDomain) -> float:

@@ -121,6 +121,8 @@ def ito_refinement_study(dom: SpectralDomain, drift: DriftSpec, noise: NoiseSpec
                          dts, scheme: str = "explicit") -> ItoStudy:
     """Ledger gap under dt halving on one coupled Brownian path."""
     dts = tuple(dts)
+    if len(dts) < 2:
+        raise ValueError("need at least two step sizes to fit an order")
     for a, b in zip(dts, dts[1:]):
         if abs(a - 2 * b) > 1e-12 * a:
             raise ValueError("dts must halve: each entry twice the next")

@@ -9,15 +9,18 @@ from spme import cli
 from spme.galerkin import monte_carlo, simulate
 
 
+_BASE = {
+    "domain": {"n_grid": 8, "alpha": 1.0},
+    "drift": {"mode": "A1", "psi": {"terms": [[1.0, 1.0]]}},
+    "noise": {"sigma0": 0.1, "decay": 2.0, "n_modes": 8},
+    "stepper": {"dt": 0.001, "T": 0.1, "n_modes": 8},
+    "run": {"ensemble_size": 8, "master_seed": 42, "save_every": 10},
+    "initial": {"shape": "eigenmode", "k": 1, "amplitude": 1.0},
+}
+
+
 def _write_config(tmp_path, name="config.json", **overrides):
-    cfg = {
-        "domain": {"n_grid": 8, "alpha": 1.0},
-        "drift": {"mode": "A1", "psi": {"terms": [[1.0, 1.0]]}},
-        "noise": {"sigma0": 0.1, "decay": 2.0, "n_modes": 8},
-        "stepper": {"dt": 0.001, "T": 0.1, "n_modes": 8},
-        "run": {"ensemble_size": 8, "master_seed": 42, "save_every": 10},
-        "initial": {"shape": "eigenmode", "k": 1, "amplitude": 1.0},
-    }
+    cfg = dict(_BASE)
     for key, value in overrides.items():
         if value is None:
             cfg.pop(key, None)
@@ -252,6 +255,254 @@ def test_random_initial_depends_only_on_seed(tmp_path):
     a = (tmp_path / "a" / "trajectory.csv").read_bytes()
     b = (tmp_path / "b" / "trajectory.csv").read_bytes()
     assert a != b  # a different master seed draws a different start
+
+
+def _edit(section, drop=(), **keys):
+    """Overrides that change some keys of one section of the base config."""
+    sec = {k: v for k, v in _BASE[section].items() if k not in drop}
+    return {section: {**sec, **keys}}
+
+
+_PSI = {"terms": [[1.0, 1.0]]}
+_MOD = {"a_min": 1.0, "a_max": 2.0, "period": 1.0}
+_ONE_STEP = {"run": {**_BASE["run"], "save_every": 1}}
+
+# One fault per row: (subcommand, overrides, exit code, the one stderr line).
+_CONFIG_FAULTS = {
+    "top-unknown": ("simulate", {"bogus": {}}, 2,
+                    "config error at <config>.bogus: unknown key"),
+    "top-section-type": ("simulate", {"domain": []}, 2,
+                         "config error at domain: expected dict, got list"),
+    "domain-unknown": ("simulate", _edit("domain", size=1.0), 2,
+                       "config error at domain.size: unknown key"),
+    "domain-missing": ("simulate", _edit("domain", drop=("n_grid",)), 2,
+                       "config error at domain.n_grid: missing required key"),
+    "domain-type": ("simulate", _edit("domain", n_grid=8.0), 2,
+                    "config error at domain.n_grid: expected int, got float"),
+    "domain-n_grid": ("simulate", _edit("domain", n_grid=0), 2,
+                      "config error at domain: n_grid must lie in [1, 1024] (dense transforms)"),
+    "domain-alpha": ("simulate", _edit("domain", alpha=2.0), 2,
+                     "config error at domain: alpha must lie in (0, 1]"),
+    "drift-missing-section": ("simulate", {"drift": None}, 2,
+                              "config error at drift: missing required section"),
+    "drift-unknown": ("simulate", _edit("drift", kind=1), 2,
+                      "config error at drift.kind: unknown key"),
+    "drift-type": ("simulate", _edit("drift", mode=1), 2,
+                   "config error at drift.mode: expected str, got int"),
+    "drift-mode": ("simulate", _edit("drift", mode="A3"), 2,
+                   "config error at drift: mode must be 'A1' or 'A2'"),
+    "drift-f_const": ("simulate", _edit("drift", f_const="x"), 2,
+                      "config error at drift.f_const: expected float, got str"),
+    "psi-type": ("simulate", _edit("drift", psi=[]), 2,
+                 "config error at drift.psi: expected dict, got list"),
+    "psi-unknown": ("simulate", _edit("drift", psi={**_PSI, "power": 2.0}), 2,
+                    "config error at drift.psi.power: unknown key"),
+    "psi-pair": ("simulate", _edit("drift", psi={"terms": [[1.0]]}), 2,
+                 "config error at drift.psi.terms[0]: expected a [coeff, exponent] pair"),
+    "psi-pair-type": ("simulate", _edit("drift", psi={"terms": [[1.0, "x"]]}), 2,
+                      "config error at drift.psi.terms[0][1]: expected float, got str"),
+    "psi-log_power": ("simulate", _edit("drift", psi={"log_power": [1.0]}), 2,
+                      "config error at drift.psi.log_power: expected [theta, r]"),
+    "psi-log_power-type": ("simulate", _edit("drift", psi={"log_power": 1.0}), 2,
+                           "config error at drift.psi.log_power: expected list, got float"),
+    "modulation-missing": ("simulate", _edit("drift", psi={**_PSI, "modulation": {
+        "a_min": 1.0, "a_max": 2.0}}), 2,
+        "config error at drift.psi.modulation.period: missing required key"),
+    "modulation-unknown": ("simulate", _edit("drift", psi={**_PSI, "modulation": {
+        **_MOD, "phase": 0.0}}), 2, "config error at drift.psi.modulation.phase: unknown key"),
+    "modulation-period": ("simulate", _edit("drift", psi={**_PSI, "modulation": {
+        **_MOD, "period": 0.0}}), 2,
+        "config error at drift.psi.modulation.period: period must be positive"),
+    "modulation-range": ("simulate", _edit("drift", psi={**_PSI, "modulation": {
+        **_MOD, "a_min": 3.0}}), 2,
+        "config error at drift.psi.modulation: need 0 < a_min <= a_max < inf"),
+    "phi-unknown": ("simulate", _edit("drift", phi={"g": 1.0}), 2,
+                    "config error at drift.phi.g: unknown key"),
+    "phi-type": ("simulate", _edit("drift", phi={"h": "x"}), 2,
+                 "config error at drift.phi.h: expected float, got str"),
+    "phi-pair": ("simulate", _edit("drift", phi={"phi0_terms": [1.0]}), 2,
+                 "config error at drift.phi.phi0_terms[0]: expected a [coeff, exponent] pair"),
+    "noise-unknown": ("simulate", _edit("noise", beta=1.0), 2,
+                      "config error at noise.beta: unknown key"),
+    "noise-missing": ("simulate", _edit("noise", drop=("sigma0",)), 2,
+                      "config error at noise.sigma0: missing required key"),
+    "noise-type": ("simulate", _edit("noise", n_modes="8"), 2,
+                   "config error at noise.n_modes: expected int, got str"),
+    "noise-n_modes": ("simulate", _edit("noise", n_modes=0), 2,
+                      "config error at noise.n_modes: need at least one mode"),
+    "noise-sigma0": ("simulate", _edit("noise", sigma0=-0.1), 2,
+                     "config error at noise.sigma0: amplitude must be >= 0"),
+    "mult-type": ("simulate", _edit("noise", mult=1.0), 2,
+                  "config error at noise.mult: expected dict, got float"),
+    "mult-unknown": ("simulate", _edit("noise", mult={"rho_min": 0.0, "rho_max": 1.0,
+                                                      "rho": 1.0}), 2,
+                     "config error at noise.mult.rho: unknown key"),
+    "mult-missing": ("simulate", _edit("noise", mult={"rho_min": 0.0}), 2,
+                     "config error at noise.mult.rho_max: missing required key"),
+    "mult-range": ("simulate", _edit("noise", mult={"rho_min": 2.0, "rho_max": 1.0}), 2,
+                   "config error at noise.mult: need 0 <= rho_min <= rho_max < inf"),
+    "stepper-unknown": ("simulate", _edit("stepper", dd=1), 2,
+                        "config error at stepper.dd: unknown key"),
+    "stepper-missing": ("simulate", _edit("stepper", drop=("dt",)), 2,
+                        "config error at stepper.dt: missing required key"),
+    "stepper-type": ("simulate", _edit("stepper", n_modes=8.0), 2,
+                     "config error at stepper.n_modes: expected int, got float"),
+    "stepper-scheme": ("simulate", _edit("stepper", scheme="rk4"), 2,
+                       "config error at stepper: scheme must be one of "
+                       "('explicit', 'semi-implicit'), got 'rk4'"),
+    "stepper-T": ("simulate", _edit("stepper", T=0.1005), 2,
+                  "config error at stepper: T must be an integer multiple of dt"),
+    "stepper-tol-type": ("simulate", _edit("stepper", implicit_tol="x"), 2,
+                         "config error at stepper.implicit_tol: expected float, got str"),
+    "stepper-tol": ("simulate", _edit("stepper", implicit_tol=0.0), 2,
+                    "config error at stepper: implicit_tol must be positive, "
+                    "implicit_max_iter >= 1"),
+    "initial-missing-section": ("simulate", {"initial": None}, 2,
+                                "config error at initial: missing required section"),
+    "initial-section-type": ("simulate", {"initial": []}, 2,
+                             "config error at initial: expected dict, got list"),
+    "initial-unknown": ("simulate", {"initial": {"shape": "zero", "sigma": 1.0}}, 2,
+                        "config error at initial.sigma: unknown key"),
+    "initial-missing": ("simulate", {"initial": {"amplitude": 1.0}}, 2,
+                        "config error at initial.shape: missing required key"),
+    "initial-type": ("simulate", {"initial": {"shape": "bump", "amplitude": "big"}}, 2,
+                     "config error at initial.amplitude: expected float, got str"),
+    "initial-shape": ("simulate", {"initial": {"shape": "square"}}, 2,
+                      "config error at initial.shape: unknown shape "
+                      "(choose from ('bump', 'eigenmode', 'random', 'zero'))"),
+    "initial-width": ("simulate", {"initial": {"shape": "bump", "width": 0.0}}, 2,
+                      "config error at initial.width: width must be positive"),
+    "initial-k": ("simulate", {"initial": {"shape": "eigenmode", "k": 9}}, 2,
+                  "config error at initial.k: mode index out of range 1..8"),
+    "run-unknown": ("simulate", _edit("run", paths=3), 2,
+                    "config error at run.paths: unknown key"),
+    "run-type": ("simulate", _edit("run", ensemble_size="8"), 2,
+                 "config error at run.ensemble_size: expected int, got str"),
+    "run-seed-type": ("simulate", _edit("run", master_seed="42"), 2,
+                      "config error at run.master_seed: expected int, got str"),
+    "run-ensemble_size": ("simulate", _edit("run", ensemble_size=1), 2,
+                          "config error at run.ensemble_size: need at least 2 paths"),
+    "run-save_every": ("simulate", _edit("run", save_every=0), 2,
+                       "config error at run.save_every: must be >= 1"),
+    "observables-type": ("simulate", {"observables": "h_norm_sq"}, 2,
+                         "config error at observables: expected list, got str"),
+    "observables-item-type": ("simulate", {"observables": [1]}, 2,
+                              "config error at observables[0]: expected str, got int"),
+    "observables-unknown": ("simulate", {"observables": ["foo"]}, 2,
+                            "config error at observables: unknown observable 'foo'"),
+    "ito-unknown": ("ito-check", {"ito": {"dts": [0.002, 0.001], "order": 1.0}}, 2,
+                    "config error at ito.order: unknown key"),
+    "ito-type": ("ito-check", {"ito": {"dts": 0.001}}, 2,
+                 "config error at ito.dts: expected list, got float"),
+    "ito-item-type": ("ito-check", {"ito": {"dts": ["a", 0.001]}}, 2,
+                      "config error at ito.dts[0]: expected float, got str"),
+    "ito-multiple": ("ito-check", {"ito": {"dts": [0.003, 0.0015]}}, 2,
+                     "config error at ito.dts[0]: T must be a multiple of each dt"),
+    "ito-halving": ("ito-check", {"ito": {"dts": [0.01, 0.005, 0.002]}}, 2,
+                    "config error at ito.dts[2]: each dt must halve the previous"),
+    "contraction-section-type": ("contraction", {"contraction": []}, 2,
+                                 "config error at contraction: expected dict, got list"),
+    "contraction-unknown": ("contraction", {"contraction": {"pairs": 1}}, 2,
+                            "config error at contraction.pairs: unknown key"),
+    "contraction-type": ("contraction", {"contraction": {"groups": "2"}}, 2,
+                         "config error at contraction.groups: expected int, got str"),
+    "contraction-declared_c": ("contraction", {"contraction": {"declared_c": "big"}}, 2,
+                               "config error at contraction.declared_c: expected float, "
+                               "got str"),
+    "contraction-groups": ("contraction", {"contraction": {"groups": 3}}, 2,
+                           "config error at contraction.groups: groups must divide "
+                           "ensemble size 8"),
+    "contraction-y0-type": ("contraction", {"contraction": {"y0": []}}, 2,
+                            "config error at contraction.y0: expected dict, got list"),
+    "contraction-y0-width": ("contraction", {"contraction": {"y0": {"shape": "bump",
+                                                                     "width": -1.0}}}, 2,
+                             "config error at contraction.y0.width: width must be positive"),
+    "contraction-floor-type": ("contraction", {"contraction": {"declared_c": 0.0,
+                                                               "floor": "x"}}, 2,
+                               "config error at contraction.floor: expected float, got str"),
+    "energy-unknown": ("energy", {"energy": {"factor": 2.0}, **_ONE_STEP}, 2,
+                       "config error at energy.factor: unknown key"),
+    "energy-type": ("energy", {"energy": {"falsify_factor": "x"}, **_ONE_STEP}, 2,
+                    "config error at energy.falsify_factor: expected float, got str"),
+    "energy-save_every": ("energy", {"energy": {}}, 2,
+                          "config error at run.save_every: the energy check needs "
+                          "statistics at every step"),
+    "extinction-unknown": ("extinction", {"extinction": {"tol": 1.0}}, 2,
+                           "config error at extinction.tol: unknown key"),
+    "extinction-type": ("extinction", {"extinction": {"strict_decay": 1}}, 2,
+                        "config error at extinction.strict_decay: expected bool, got int"),
+    "extinction-expect": ("extinction", {"extinction": {"expect": "maybe"}}, 2,
+                          "config error at extinction.expect: choose 'extinct' or 'survive'"),
+    "extinction-eps": ("extinction", {"extinction": {"eps": 0.0}}, 2,
+                       "config error at extinction.eps: eps must be positive"),
+    "ou-missing": ("ou-oracle", {"ou": {}}, 2,
+                   "config error at ou.times: missing required key"),
+    "ou-unknown": ("ou-oracle", {"ou": {"times": [0.05], "modes": 2}}, 2,
+                   "config error at ou.modes: unknown key"),
+    "ou-type": ("ou-oracle", {"ou": {"times": 0.05}}, 2,
+                "config error at ou.times: expected list, got float"),
+    "ou-item-type": ("ou-oracle", {"ou": {"times": ["a"]}}, 2,
+                     "config error at ou.times[0]: expected float, got str"),
+    "ou-grid": ("ou-oracle", {"ou": {"times": [0.0137]}}, 2,
+                "config error at ou.times[0]: must lie on the save grid (multiples of 0.01)"),
+    "ou-horizon": ("ou-oracle", {"ou": {"times": [0.2]}}, 2,
+                   "config error at ou.times[0]: must lie on the save grid (multiples of 0.01)"),
+    "ou-noise-modes": ("ou-oracle", {"ou": {"times": [0.05]}, **_edit("noise", n_modes=4)}, 2,
+                       "config error at noise.n_modes: the oracle needs noise on every "
+                       "tracked mode"),
+    "ergodicity-unknown": ("ergodicity", {"ergodicity": {"horizon": 1.0}}, 2,
+                           "config error at ergodicity.horizon: unknown key"),
+    "ergodicity-type": ("ergodicity", {"ergodicity": {"observable": 1}}, 2,
+                        "config error at ergodicity.observable: expected str, got int"),
+    "ergodicity-lip-type": ("ergodicity", {"ergodicity": {"lip": "x"}}, 2,
+                            "config error at ergodicity.lip: expected float, got str"),
+    "ergodicity-auto-lip": ("ergodicity", {"ergodicity": {"observable": "h_norm_sq"}}, 2,
+                            "config error at ergodicity.lip: auto Lipschitz constants exist "
+                            "only for mode_k observables; give lip explicitly"),
+    "ergodicity-mode": ("ergodicity", {"ergodicity": {"observable": "mode_9"}}, 2,
+                        "config error at ergodicity.observable: mode index out of range"),
+    "ergodicity-y_seed-type": ("ergodicity", {"ergodicity": {"y_seed": 1.5}}, 2,
+                               "config error at ergodicity.y_seed: expected int, got float"),
+    "ergodicity-tail-type": ("ergodicity", {"ergodicity": {"tail_fraction": "x"}}, 2,
+                             "config error at ergodicity.tail_fraction: expected float, "
+                             "got str"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_FAULTS))
+def test_config_fault_names_its_key(tmp_path, capsys, case):
+    subcommand, overrides, code, line = _CONFIG_FAULTS[case]
+    cfg = _write_config(tmp_path, **overrides)
+    assert _run(subcommand, "--config", cfg, "--out", tmp_path / "out") == code
+    assert capsys.readouterr().err == line + "\n"
+
+
+# A key that would change no output, inputs that would leave a check vacuous,
+# and faults that the library would report without naming the key.
+_REJECTED = {
+    "record_ito": ("simulate", _edit("stepper", record_ito=True),
+                   "config error at stepper.record_ito: unknown key"),
+    "ito-one-dt": ("ito-check", {"ito": {"dts": [1e-3]}},
+                   "config error at ito.dts: need at least two step sizes to fit an order"),
+    "ito-no-dts": ("ito-check", {"ito": {"dts": []}},
+                   "config error at ito.dts: need at least two step sizes to fit an order"),
+    "ou-no-times": ("ou-oracle", {"ou": {"times": []}},
+                    "config error at ou.times: need at least one time"),
+    "ergodicity-observable": ("ergodicity", {"ergodicity": {"observable": "foo", "lip": 1.0}},
+                              "config error at ergodicity.observable: unknown observable 'foo'"),
+    "contraction-one-pair-groups": ("contraction", {"contraction": {"groups": 8}},
+                                    "config error at contraction.groups: each group needs "
+                                    "at least 2 pairs, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_inert_or_degenerate_input_is_config_error(tmp_path, capsys, case):
+    subcommand, overrides, line = _REJECTED[case]
+    cfg = _write_config(tmp_path, **overrides)
+    assert _run(subcommand, "--config", cfg, "--out", tmp_path / "out") == 2
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n" and captured.out == ""
 
 
 _PME = {"mode": "A1", "psi": {"terms": [[1.0, 2.0]]}}

@@ -101,6 +101,15 @@ def test_ito_refinement_rejects_non_halving_dts():
                              dts=(1e-2, 5e-3, 2e-3))
 
 
+@pytest.mark.parametrize("dts", [(), (1e-3,)])
+def test_ito_refinement_needs_two_dts(dts):
+    # One step size has no slope to fit: np.polyfit would return a number.
+    dom = SpectralDomain(8)
+    with pytest.raises(ValueError, match="at least two step sizes"):
+        ito_refinement_study(dom, LINEAR, ZERO_NOISE, _sine_start(dom),
+                             master_seed=0, T=0.1, n_modes=8, dts=dts)
+
+
 def test_ito_ledger_csv(tmp_path):
     dom = SpectralDomain(6)
     cfg = StepperConfig(dt=1e-3, T=0.01, n_modes=6, record_ito=True)
