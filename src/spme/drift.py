@@ -19,9 +19,9 @@ nonlinear perturbation ``Phi_0`` controlled through the operator norms of
 ``L^{-1}`` on the L^p spaces matching each exponent.
 
 The checkers are sample-based certificates, not proofs: they evaluate every
-inequality on log-spaced scalar grids and on random fields with Gaussian
-spectral decay and report worst-case margins.  Time-dependent coefficients
-are sampled on [0, 1].
+inequality on a fixed log-spaced scalar grid and on 1000 random field pairs
+with Gaussian spectral decay, the random samples drawn from a fixed seed, and
+report worst-case margins.  Time-dependent coefficients are sampled at 7 points of [0, 1].
 """
 
 from __future__ import annotations
@@ -32,11 +32,13 @@ from typing import Callable
 
 import numpy as np
 
-from .noise import NoiseSpec, hs0_sq, rho_factor
+from .noise import NoiseSpec, hs0_sq
 from .orlicz import LogPowerYoung, PowerSumYoung, YoungFunctionError, young_dual
-from .triple import Field, SpectralDomain, h_inner, h_norm
+from .triple import Field, SpectralDomain, h_norm
 
-_S_GRID_LO, _S_GRID_HI, _S_GRID_N = 1e-4, 1e4, 81
+_S_POS = np.geomspace(1e-4, 1e4, 81)
+_S_GRID = np.concatenate([-_S_POS[::-1], [0.0], _S_POS])
+_H_PAIRS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +244,11 @@ def psi_prime(spec: PsiSpec, t: float, s):
     return spec.a_at(t) * out
 
 
-def psi_prime_max(spec: PsiSpec, t: float, s_max: float, n_probe: int = 512) -> float:
+def psi_prime_max(spec: PsiSpec, t: float, s_max: float) -> float:
     """sup |Psi'(t, .)| over [-s_max, s_max], by dense probing (inf if singular)."""
     if not spec.terms and spec.log_power is None:
         return 0.0
-    grid = np.linspace(0.0, max(s_max, 1e-300), n_probe)
+    grid = np.linspace(0.0, max(s_max, 1e-300), 512)
     grid = np.concatenate([grid, np.geomspace(1e-12, max(s_max, 1e-12), 64)])
     return float(np.max(psi_prime(spec, t, grid)))
 
@@ -307,10 +309,10 @@ def R_functional(dom: SpectralDomain, psi: PsiSpec, v: Field) -> float:
 _LINV_CACHE: dict = {}
 
 
-def linv_op_norm(dom: SpectralDomain, p: float, n_probe: int = 200) -> float:
+def linv_op_norm(dom: SpectralDomain, p: float) -> float:
     """Conservative estimate of the L^p -> L^p operator norm of L^{-1}.
 
-    Sampled over random fields with Gaussian spectral decay and inflated by
+    Sampled over 200 random fields with Gaussian spectral decay and inflated by
     1.5; the exact constant is not available off the spectrum, so every
     consumer treats this as an upper bound.
     """
@@ -319,7 +321,7 @@ def linv_op_norm(dom: SpectralDomain, p: float, n_probe: int = 200) -> float:
         seed = np.random.SeedSequence([318, dom.n_grid, int(dom.alpha * 1e6), int(p * 1e6)])
         rng = np.random.default_rng(seed)
         k = np.arange(1, dom.n_grid + 1, dtype=float)
-        coeffs = rng.normal(0.0, 1.0, size=(n_probe, dom.n_grid)) / k
+        coeffs = rng.normal(0.0, 1.0, size=(200, dom.n_grid)) / k
         vals = dom.from_spectral(coeffs)
         inv_vals = dom.from_spectral(-coeffs / dom.lam)
         num = (dom.h * np.abs(inv_vals) ** p).sum(axis=1) ** (1.0 / p)
@@ -374,27 +376,21 @@ class ConditionReport:
         return row
 
 
-def _default_s_grid() -> np.ndarray:
-    g = np.geomspace(_S_GRID_LO, _S_GRID_HI, _S_GRID_N)
-    return np.concatenate([-g[::-1], [0.0], g])
-
-
-def _pair_samples(s_grid: np.ndarray, rng: np.random.Generator, n_random: int = 2000):
-    """Structured + random (s1, s2) pairs from the grid."""
-    s1 = [s_grid[:-1], -s_grid, np.zeros_like(s_grid)]
-    s2 = [s_grid[1:], s_grid, s_grid]
-    i = rng.integers(0, s_grid.size, size=n_random)
-    j = rng.integers(0, s_grid.size, size=n_random)
-    s1.append(s_grid[i])
-    s2.append(s_grid[j])
+def _pair_samples():
+    """Structured + 2000 random (s1, s2) pairs from the scalar grid."""
+    rng, g = np.random.default_rng(0), _S_GRID
+    s1 = [g[:-1], -g, np.zeros_like(g)]
+    s2 = [g[1:], g, g]
+    i = rng.integers(0, g.size, size=2000)
+    j = rng.integers(0, g.size, size=2000)
+    s1.append(g[i])
+    s2.append(g[j])
     a, b = np.concatenate(s1), np.concatenate(s2)
     keep = a != b
     return a[keep], b[keep]
 
 
-def _t_samples(spec: DriftSpec, t_grid) -> np.ndarray:
-    if t_grid is not None:
-        return np.asarray(t_grid, dtype=float)
+def _t_samples(spec: DriftSpec) -> np.ndarray:
     if spec.is_time_dependent:
         return np.linspace(0.0, 1.0, 7)
     return np.array([0.0])
@@ -419,13 +415,13 @@ def _modulation_within_bounds(spec: DriftSpec, ts, failures) -> None:
                 )
 
 
-def _sandwich(spec: DriftSpec, young, ts, s_grid):
+def _sandwich(spec: DriftSpec, young, ts):
     """Empirical (c, f) with N(s) - f <= s Psi(t,s) <= c (N(s) + f) on the grid.
 
     Deficits and ratio excesses below 1e-12 relative are treated as rounding
     noise, so exact families report the clean constants (c, f) = (1, 0).
     """
-    s = s_grid[s_grid != 0.0]
+    s = _S_GRID[_S_GRID != 0.0]
     n_vals = young(s)
     lower_margin = math.inf
     f_emp = 0.0
@@ -446,17 +442,15 @@ def _sandwich(spec: DriftSpec, young, ts, s_grid):
     return ratio, f_emp, lower_margin
 
 
-def check_A1(spec: DriftSpec, s_grid=None, t_grid=None, rng=None) -> ConditionReport:
+def check_A1(spec: DriftSpec) -> ConditionReport:
     """Certify monotonicity, the Young-function sandwich, and dual finiteness."""
     if spec.mode != "A1":
         raise ValueError("check_A1 requires a mode-A1 spec")
-    rng = np.random.default_rng(0) if rng is None else rng
-    s_grid = _default_s_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
-    ts = _t_samples(spec, t_grid)
+    ts = _t_samples(spec)
     failures: list = []
     _modulation_within_bounds(spec, ts, failures)
 
-    s1, s2 = _pair_samples(s_grid, rng)
+    s1, s2 = _pair_samples()
     mono_margin = math.inf
     for t in ts:
         p1, p2 = psi_eval(spec.psi, t, s1), psi_eval(spec.psi, t, s2)
@@ -482,7 +476,7 @@ def check_A1(spec: DriftSpec, s_grid=None, t_grid=None, rng=None) -> ConditionRe
                  "lhs": math.nan, "rhs": math.nan}
             )
     if young is not None:
-        c_emp, f_emp, raw = _sandwich(spec, young, ts, s_grid)
+        c_emp, f_emp, raw = _sandwich(spec, young, ts)
         constants.update(c=c_emp, f=f_emp)
         margins["psi2_raw"] = raw
         margins["psi3"] = 0.0  # c_emp is defined as the binding ratio
@@ -506,20 +500,16 @@ def check_A1(spec: DriftSpec, s_grid=None, t_grid=None, rng=None) -> ConditionRe
     )
 
 
-def check_A2(
-    spec: DriftSpec, dom: SpectralDomain, s_grid=None, t_grid=None, rng=None
-) -> ConditionReport:
+def check_A2(spec: DriftSpec, dom: SpectralDomain) -> ConditionReport:
     """Certify the quantified monotonicity and perturbation budget of mode A2."""
     if spec.mode != "A2":
         raise ValueError("check_A2 requires a mode-A2 spec")
-    rng = np.random.default_rng(0) if rng is None else rng
-    s_grid = _default_s_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
-    ts = _t_samples(spec, t_grid)
+    ts = _t_samples(spec)
     failures: list = []
     _modulation_within_bounds(spec, ts, failures)
 
     deltas = monotonicity_constants(spec.psi)
-    s1, s2 = _pair_samples(s_grid, rng)
+    s1, s2 = _pair_samples()
     gap = np.abs(s2 - s1)
     rhs_mono = np.zeros_like(gap)
     for d, r in deltas:
@@ -538,7 +528,7 @@ def check_A2(
             )
 
     young = spec.psi.young()
-    c_emp, f_emp, raw = _sandwich(spec, young, ts, s_grid)
+    c_emp, f_emp, raw = _sandwich(spec, young, ts)
     constants = {"c": c_emp, "f": f_emp}
     for idx, (d, r) in enumerate(deltas, start=1):
         constants[f"delta_{idx}"] = d
@@ -627,24 +617,22 @@ def declared_constants(dom: SpectralDomain, spec: DriftSpec, noise: NoiseSpec) -
     }
 
 
-def _random_fields(dom: SpectralDomain, rng, n, decay=1.5):
+def _random_fields(dom: SpectralDomain, rng, n) -> np.ndarray:
+    """n coefficient rows with Gaussian spectral decay k^-1.5 at random scales."""
     k = np.arange(1, dom.n_grid + 1, dtype=float)
     scale = 10.0 ** rng.uniform(-2.0, 1.0, size=(n, 1))
-    coeffs = rng.normal(0.0, 1.0, size=(n, dom.n_grid)) * k**-decay * scale
-    return [Field.from_coeffs(dom, c) for c in coeffs]
+    return rng.normal(0.0, 1.0, size=(n, dom.n_grid)) * k**-1.5 * scale
 
 
-def _hs_diff_sq(noise: NoiseSpec, dom, u: Field, v: Field) -> float:
-    drho = rho_factor(noise, h_norm(dom, u)) - rho_factor(noise, h_norm(dom, v))
-    return drho**2 * hs0_sq(noise, dom)
+def _h_pair(dom: SpectralDomain, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise H inner products <X, Y>_H of coefficient rows."""
+    return np.sum(X * Y / dom.lam, axis=-1)
 
 
 def _hemicontinuity_ratio(dom, spec, u, v, x, t) -> tuple:
     def sweep(n_pts):
-        lams = np.linspace(-1.0, 1.0, n_pts)
-        vals = np.array(
-            [h_inner(dom, assemble_A(dom, spec, t, u + v * lam), x) for lam in lams]
-        )
+        W = u + np.linspace(-1.0, 1.0, n_pts)[:, None] * v
+        vals = _h_pair(dom, drift_coeffs(dom, spec, t, dom.from_spectral(W), W), x)
         return float(np.max(np.abs(np.diff(vals)))), float(np.max(np.abs(vals)))
 
     coarse, scale = sweep(41)
@@ -652,62 +640,50 @@ def _hemicontinuity_ratio(dom, spec, u, v, x, t) -> tuple:
     return coarse, fine, scale
 
 
-def check_H(
-    dom: SpectralDomain,
-    spec: DriftSpec,
-    noise: NoiseSpec,
-    n_samples: int = 1000,
-    rng=None,
-    t_grid=None,
-) -> ConditionReport:
-    """Empirically certify hemicontinuity, weak monotonicity, coercivity, growth."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    ts = _t_samples(spec, t_grid)
+def check_H(dom: SpectralDomain, spec: DriftSpec, noise: NoiseSpec) -> ConditionReport:
+    """Empirically certify hemicontinuity, weak monotonicity, coercivity, growth.
+
+    The samples are 1000 random field pairs (u_i, v_i), pair i taken at time
+    ``ts[i % len(ts)]``; they are evaluated as coefficient rows, one batch per
+    sampled time.
+    """
+    rng = np.random.default_rng(0)
+    ts = _t_samples(spec)
     declared = declared_constants(dom, spec, noise)
     failures: list = []
     _modulation_within_bounds(spec, ts, failures)
 
-    us = _random_fields(dom, rng, n_samples)
-    vs = _random_fields(dom, rng, n_samples)
-    c_emp = -math.inf
-    h3_margin = math.inf
-    h4_margin = math.inf
-    for i, (u, v) in enumerate(zip(us, vs)):
-        t = float(ts[i % ts.size])
-        a_u = assemble_A(dom, spec, t, u)
-        a_v = assemble_A(dom, spec, t, v)
-        duv = h_norm(dom, u - v) ** 2
-        lhs2 = 2.0 * h_inner(dom, a_u - a_v, u - v) + _hs_diff_sq(noise, dom, u, v)
-        c_emp = max(c_emp, lhs2 / duv)
-        if lhs2 > declared["c_h2"] * duv + 1e-9 * (1.0 + abs(lhs2)):
-            failures.append(
-                {"condition": "h2", "sample": i, "lhs": lhs2,
-                 "rhs": declared["c_h2"] * duv}
-            )
-        # Coercivity at v.
-        r_v = R_functional(dom, spec.psi, v)
-        lhs3 = 2.0 * h_inner(dom, a_v, v) + rho_factor(
-            noise, h_norm(dom, v)
-        ) ** 2 * declared["hs0_sq"]
-        rhs3 = (
-            declared["c1"] * h_norm(dom, v) ** 2
-            - declared["c2"] * r_v
-            + declared["f_h3"]
-        )
-        h3_margin = min(h3_margin, (rhs3 - lhs3) / (1.0 + abs(lhs3) + abs(rhs3)))
-        if lhs3 > rhs3 + 1e-9 * (1.0 + abs(lhs3) + abs(rhs3)):
-            failures.append(
-                {"condition": "h3", "sample": i, "lhs": lhs3, "rhs": rhs3}
-            )
-        # Growth of the pairing against u.
-        r_u = R_functional(dom, spec.psi, u)
-        lhs4 = abs(h_inner(dom, a_v, u))
-        rhs4 = declared["g_h4"] + declared["c3"] * (r_v + r_u)
-        h4_margin = min(h4_margin, (rhs4 - lhs4) / (1.0 + abs(lhs4) + abs(rhs4)))
-        if lhs4 > rhs4 + 1e-9 * (1.0 + abs(lhs4) + abs(rhs4)):
-            failures.append(
-                {"condition": "h4", "sample": i, "lhs": lhs4, "rhs": rhs4}
-            )
+    UV = np.stack([_random_fields(dom, rng, _H_PAIRS), _random_fields(dom, rng, _H_PAIRS)])
+    values = dom.from_spectral(UV)
+    A = np.empty_like(UV)
+    for j, t in enumerate(ts):
+        rows = slice(j, None, ts.size)
+        A[:, rows] = drift_coeffs(dom, spec, float(t), values[:, rows], UV[:, rows])
+    (U, V), (AU, AV) = UV, A
+    hn_sq = _h_pair(dom, UV, UV)
+    r_u, r_v = young_modular(dom, spec.psi, values) + hn_sq
+    rho_u, rho_v = (1.0, 1.0) if noise.mult is None else noise.mult(np.sqrt(hn_sq))
+    hs0 = declared["hs0_sq"]
+    D = U - V
+    duv = _h_pair(dom, D, D)
+    # Weak monotonicity of the pair, coercivity at v, growth of <A(v), u>.
+    lhs2 = 2.0 * _h_pair(dom, AU - AV, D) + (rho_u - rho_v) ** 2 * hs0
+    rhs2 = declared["c_h2"] * duv
+    lhs3 = 2.0 * _h_pair(dom, AV, V) + rho_v**2 * hs0
+    rhs3 = declared["c1"] * hn_sq[1] - declared["c2"] * r_v + declared["f_h3"]
+    lhs4 = np.abs(_h_pair(dom, AV, U))
+    rhs4 = declared["g_h4"] + declared["c3"] * (r_v + r_u)
+    scale3 = 1.0 + np.abs(lhs3) + np.abs(rhs3)
+    scale4 = 1.0 + np.abs(lhs4) + np.abs(rhs4)
+    checks = (("h2", lhs2, rhs2, lhs2 > rhs2 + 1e-9 * (1.0 + np.abs(lhs2))),
+              ("h3", lhs3, rhs3, lhs3 > rhs3 + 1e-9 * scale3),
+              ("h4", lhs4, rhs4, lhs4 > rhs4 + 1e-9 * scale4))
+    # Row-major order of the (sample, check) table: by sample, then h2, h3, h4.
+    for i, c in zip(*np.nonzero(np.column_stack([bad for *_, bad in checks]))):
+        name, lhs, rhs, _ = checks[c]
+        failures.append({"condition": name, "sample": int(i), "lhs": float(lhs[i]),
+                         "rhs": float(rhs[i])})
+    c_emp = float(np.max(lhs2 / duv))
 
     # Hemicontinuity: refinement of the line sweep must shrink the jumps.
     h1_ratio = 0.0
@@ -728,8 +704,8 @@ def check_H(
     margins = {
         "h1": 0.75 - h1_ratio,
         "h2": declared["c_h2"] - c_emp,
-        "h3": h3_margin,
-        "h4": h4_margin,
+        "h3": float(np.min((rhs3 - lhs3) / scale3)),
+        "h4": float(np.min((rhs4 - lhs4) / scale4)),
     }
     return ConditionReport(
         name="H",
@@ -737,5 +713,5 @@ def check_H(
         constants=constants,
         margins=margins,
         failures=tuple(failures),
-        n_samples=n_samples,
+        n_samples=_H_PAIRS,
     )

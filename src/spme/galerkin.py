@@ -484,12 +484,16 @@ def _is_plain(name: str, paired: bool) -> bool:
     return name.startswith("mode_") and name[5:].isdigit() and int(name[5:]) >= 1
 
 
-def check_observables(names, paired: bool) -> None:
-    """Raise ValueError for a name that ``monte_carlo`` cannot compute."""
+def check_observables(names, paired: bool, n_grid: int) -> None:
+    """Raise ValueError for a name that ``monte_carlo`` cannot compute on n_grid points."""
+    if not names:
+        raise ValueError("at least one observable is required")
     for name in names:
         base = name[4:] if name.startswith("int_") else name
         if not base or not _is_plain(base, paired):
             raise ValueError(f"unknown observable {name!r}")
+        if base.startswith("mode_") and int(base[5:]) > n_grid:
+            raise ValueError(f"observable {name!r}: mode index out of range 1..{n_grid}")
 
 
 class _Observables(dict):
@@ -582,9 +586,7 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
     names = tuple(observables)
-    if not names:
-        raise ValueError("at least one observable is required")
-    check_observables(names, paired=Y0 is not None)
+    check_observables(names, paired=Y0 is not None, n_grid=dom.n_grid)
     starts = _initial_rows(config, dom, noise, [X0] if Y0 is None else [X0, Y0])
     n_steps = config.n_steps
     save_idx = list(range(0, n_steps + 1, save_every))

@@ -226,7 +226,7 @@ def _conjugate_power(coeff: float, p: float):
     return (p - 1.0) * p ** (-q) * coeff ** (-1.0 / (p - 1.0)), q
 
 
-def _dual_numeric(young, s, tol: float = 1e-12):
+def _dual_numeric(young, s):
     """Maximise r|s| - N(r) over r >= 0 by doubling bracket + golden section."""
     y = np.abs(np.asarray(s, dtype=float))
     scalar = y.ndim == 0
@@ -259,10 +259,10 @@ def _dual_numeric(young, s, tol: float = 1e-12):
         c = hi - invphi * (hi - lo)
         d = lo + invphi * (hi - lo)
         gc, gd = g(c), g(d)
-        # iterate until the bracket is below tol both absolutely and relatively
+        # iterate until the bracket is below 1e-12 both absolutely and relatively
         for _ in range(200):
             width = hi - lo
-            if np.all(width <= tol * np.maximum(1.0, hi)):
+            if np.all(width <= 1e-12 * np.maximum(1.0, hi)):
                 break
             pick = gc > gd
             hi = np.where(pick, d, hi)
@@ -275,11 +275,11 @@ def _dual_numeric(young, s, tol: float = 1e-12):
     return float(out[0]) if scalar else out
 
 
-def dual_eval(young: YoungLike, s, tol: float = 1e-12):
+def dual_eval(young: YoungLike, s):
     """Evaluate the convex dual N*(s), closed form where one exists."""
     sp = young.single_power() if hasattr(young, "single_power") else None
     if sp is None:
-        return _dual_numeric(young, s, tol=tol)
+        return _dual_numeric(young, s)
     const, q = _conjugate_power(*sp)
     out = const * np.abs(np.asarray(s, dtype=float)) ** q
     return out if out.ndim else float(out)
@@ -387,16 +387,15 @@ def delta2_exponent(young: YoungLike, finite: bool = True) -> float:
     return q
 
 
-def validate_young(young: YoungLike, s_grid: np.ndarray | None = None) -> None:
+def validate_young(young: YoungLike) -> None:
     """Check the defining Young-function properties on a log-spaced grid.
 
+    The grid is 121 points over [1e-12 hi, hi], hi = 1e6 or a table's s_max.
     Raises YoungFunctionError on: N(0) != 0, loss of evenness, loss of
     monotonicity or convexity, or the wrong slope trend at 0/infinity.
     """
-    if s_grid is None:
-        hi = young.s_max if isinstance(young, TableYoung) else 1e6
-        lo = hi * 1e-12
-        s_grid = np.geomspace(lo, hi, 121)
+    hi = young.s_max if isinstance(young, TableYoung) else 1e6
+    s_grid = np.geomspace(hi * 1e-12, hi, 121)
     vals = np.asarray(young(s_grid), dtype=float)
     if abs(float(np.asarray(young(0.0)))) > 1e-300:
         raise YoungFunctionError("N(0) must vanish")
@@ -424,16 +423,11 @@ def validate_young(young: YoungLike, s_grid: np.ndarray | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def luxemburg_norm(
-    values: np.ndarray,
-    young: YoungLike,
-    measure: DiscreteMeasure,
-    rtol: float = 1e-10,
-) -> float:
-    """inf{ lam > 0 : m(N(f/lam)) <= 1 } by bisection to relative tol ``rtol``.
+def luxemburg_norm(values: np.ndarray, young: YoungLike, measure: DiscreteMeasure) -> float:
+    """inf{ lam > 0 : m(N(f/lam)) <= 1 } by bisection to relative tolerance 1e-10.
 
     Returns the upper bisection endpoint, so m(N(f/result)) <= 1 holds exactly
-    while any relative shrink by more than ``rtol`` pushes the modular above 1.
+    while any relative shrink by more than 1e-10 pushes the modular above 1.
     """
     f = np.asarray(values, dtype=float)
     if f.shape != measure.weights.shape:
@@ -460,7 +454,7 @@ def luxemburg_norm(
     else:
         return 0.0  # modular stays <= 1 for arbitrarily small lam: norm is 0
     # invariant: modular(hi) <= 1 < modular(lo)
-    while (hi - lo) > rtol * hi:
+    while (hi - lo) > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if modular(mid) <= 1.0:
             hi = mid

@@ -106,12 +106,25 @@ def ito_residual(traj: Trajectory):
 
 @dataclass(frozen=True)
 class ItoStudy:
+    """Ledger gaps under dt halving; ``ledger`` is the finest level's ledger."""
+
     dts: tuple
     max_residuals: tuple
     order: float
+    ledger: ItoLedger
+
+    @property
+    def monotone(self) -> bool:
+        return all(a > b for a, b in zip(self.max_residuals, self.max_residuals[1:]))
+
+    @property
+    def passed(self) -> bool:
+        return self.monotone and self.order >= 0.8
 
     def summary(self) -> str:
-        status = "PASS" if self.order >= 0.8 else "FAIL"
+        if not self.monotone:
+            return f"FAIL ito-refinement: residuals not monotone {self.max_residuals}"
+        status = "PASS" if self.passed else "FAIL"
         return (f"{status} ito-refinement: order={self.order:.3f} >= 0.8 over "
                 f"dts={list(self.dts)} (max residuals {list(self.max_residuals)})")
 
@@ -133,11 +146,12 @@ def ito_refinement_study(dom: SpectralDomain, drift: DriftSpec, noise: NoiseSpec
             inc = refine_increments(inc, dts[level - 1], master_seed, 0, level=level)
         cfg = StepperConfig(dt=dt, T=T, n_modes=n_modes, scheme=scheme,
                             record_ito=True)
-        traj = simulate(cfg, dom, drift, noise, X0, master_seed, 0, increments=inc)
-        residuals.append(ito_residual(traj)[0])
+        ledger = ito_ledger(simulate(cfg, dom, drift, noise, X0, master_seed, 0,
+                                     increments=inc))
+        residuals.append(ledger.max_residual)
     # Gap ~ dt^order, so the log-log slope is the order itself.
     order = float(np.polyfit(np.log(dts), np.log(residuals), 1)[0])
-    return ItoStudy(dts=dts, max_residuals=tuple(residuals), order=order)
+    return ItoStudy(dts=dts, max_residuals=tuple(residuals), order=order, ledger=ledger)
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,11 @@ _CONFIG_FAULTS = {
                               "config error at observables[0]: expected str, got int"),
     "observables-unknown": ("simulate", {"observables": ["foo"]}, 2,
                             "config error at observables: unknown observable 'foo'"),
+    "observables-empty": ("simulate", {"observables": []}, 2,
+                          "config error at observables: at least one observable is required"),
+    "observables-dist_sq": ("simulate", {"observables": ["dist_sq"]}, 2,
+                            "config error at observables: dist_sq requires a paired "
+                            "ensemble (Y0 given)"),
     "ito-unknown": ("ito-check", {"ito": {"dts": [0.002, 0.001], "order": 1.0}}, 2,
                     "config error at ito.order: unknown key"),
     "ito-type": ("ito-check", {"ito": {"dts": 0.001}}, 2,
@@ -493,6 +498,30 @@ _REJECTED = {
     "contraction-one-pair-groups": ("contraction", {"contraction": {"groups": 8}},
                                     "config error at contraction.groups: each group needs "
                                     "at least 2 pairs, got 1"),
+    "observables-mode": ("simulate", {"observables": ["h_norm_sq", "mode_99"]},
+                         "config error at observables: observable 'mode_99': "
+                         "mode index out of range 1..8"),
+    "observables-int-mode": ("simulate", {"observables": ["int_mode_9"]},
+                             "config error at observables: observable 'int_mode_9': "
+                             "mode index out of range 1..8"),
+    "ergodicity-mode-lip": ("ergodicity", {"ergodicity": {"observable": "mode_99", "lip": 1.0}},
+                            "config error at ergodicity.observable: observable 'mode_99': "
+                            "mode index out of range 1..8"),
+    "ito-zero-dt": ("ito-check", {"ito": {"dts": [0.0, 0.0]}},
+                    "config error at ito.dts[0]: step size must be positive and finite"),
+    "ito-negative-dt": ("ito-check", {"ito": {"dts": [-0.002, -0.001]}},
+                        "config error at ito.dts[0]: step size must be positive and finite"),
+    "stepper-n_modes-grid": ("check-conditions", _edit("stepper", n_modes=16),
+                             "config error at stepper.n_modes: more modes than the 8 "
+                             "grid points"),
+    "stepper-n_modes-grid-simulate": ("simulate", _edit("stepper", n_modes=16),
+                                      "config error at stepper.n_modes: more modes than "
+                                      "the 8 grid points"),
+    "noise-n_modes-grid": ("check-conditions", _edit("noise", n_modes=16),
+                           "config error at noise.n_modes: more modes than the 8 grid points"),
+    "noise-n_modes-grid-ito": ("ito-check", _edit("noise", n_modes=16),
+                               "config error at noise.n_modes: more modes than the 8 "
+                               "grid points"),
 }
 
 
@@ -503,6 +532,40 @@ def test_inert_or_degenerate_input_is_config_error(tmp_path, capsys, case):
     assert _run(subcommand, "--config", cfg, "--out", tmp_path / "out") == 2
     captured = capsys.readouterr()
     assert captured.err == line + "\n" and captured.out == ""
+
+
+# Faults that are rejected before the run: --out holds no table.
+_BEFORE_THE_RUN = {
+    **{k: _CONFIG_FAULTS[k][:2] for k in ("observables-unknown", "observables-empty",
+                                          "observables-dist_sq", "extinction-eps")},
+    **{k: _REJECTED[k][:2] for k in ("observables-mode", "observables-int-mode",
+                                     "ergodicity-mode-lip", "ito-zero-dt", "ito-negative-dt",
+                                     "stepper-n_modes-grid-simulate", "noise-n_modes-grid",
+                                     "noise-n_modes-grid-ito")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BEFORE_THE_RUN))
+def test_config_fault_writes_no_table(tmp_path, case):
+    subcommand, overrides = _BEFORE_THE_RUN[case]
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert _run(subcommand, "--config", cfg, "--out", out) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_ito_check_ledger_is_the_finest_level(tmp_path):
+    # ledger.csv comes from the study's finest run, on its bridge-refined path.
+    cfg = _write_config(tmp_path, ito={"dts": [0.002, 0.001, 0.0005]})
+    out = tmp_path / "out"
+    assert _run("ito-check", "--config", cfg, "--out", out) == 0
+
+    def table(name):
+        return np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+
+    ledger, refinement = table("ledger.csv"), table("refinement.csv")
+    assert ledger[1, 0] == 0.0005 and ledger[-1, 0] == 0.1
+    assert np.max(np.abs(ledger[:, -1])) == refinement[-1, 1]
 
 
 _PME = {"mode": "A1", "psi": {"terms": [[1.0, 2.0]]}}

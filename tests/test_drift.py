@@ -26,7 +26,7 @@ from spme.drift import (
     psi_prime_max,
     young_modular,
 )
-from spme.noise import NoiseSpec, RhoFactor
+from spme.noise import NoiseSpec, RhoFactor, rho_factor
 from spme.orlicz import young_dual
 from spme.triple import Field, SpectralDomain, h_inner, h_norm
 
@@ -346,7 +346,7 @@ def test_implied_eps_no_terms():
 def test_check_H_pme_additive():
     dom = SpectralDomain(32)
     noise = NoiseSpec(sigma=(0.1, 0.05, 0.02))
-    rep = check_H(dom, pme_spec(), noise, n_samples=400)
+    rep = check_H(dom, pme_spec(), noise)
     assert rep.passed
     assert rep.constants["c_emp_h2"] <= 1e-10  # monotone drift, additive noise
     assert rep.margins["h3"] >= -1e-9
@@ -357,7 +357,7 @@ def test_check_H_pme_additive():
 def test_check_H_linear_strictly_negative():
     dom = SpectralDomain(32)
     spec = DriftSpec(psi=PsiSpec(terms=((1.0, 1.0),)), phi=PhiSpec(), mode="A1")
-    rep = check_H(dom, spec, NoiseSpec(sigma=(0.1,)), n_samples=400)
+    rep = check_H(dom, spec, NoiseSpec(sigma=(0.1,)))
     assert rep.passed
     assert rep.constants["c_emp_h2"] <= -2.0 * dom.lam[0] + 1e-9
 
@@ -365,7 +365,7 @@ def test_check_H_linear_strictly_negative():
 def test_check_H_zero_drift_and_noise():
     dom = SpectralDomain(16)
     spec = DriftSpec(psi=PsiSpec(), phi=PhiSpec(), mode="A1")
-    rep = check_H(dom, spec, NoiseSpec(sigma=(0.0,)), n_samples=100)
+    rep = check_H(dom, spec, NoiseSpec(sigma=(0.0,)))
     assert rep.passed
     assert rep.constants["c_h2"] == 0.0
     assert abs(rep.constants["c_emp_h2"]) <= 1e-12
@@ -376,7 +376,7 @@ def test_check_H_multiplicative_and_h():
     noise = NoiseSpec(sigma=(0.3, 0.1), mult=RhoFactor(0.5, 1.0))
     spec = DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),)),
                      phi=PhiSpec(h_const=0.25), mode="A1")
-    rep = check_H(dom, spec, noise, n_samples=400)
+    rep = check_H(dom, spec, noise)
     assert rep.passed
     declared = declared_constants(dom, spec, noise)
     assert declared["c_h2"] == pytest.approx(0.5 + 0.25 * declared["hs0_sq"])
@@ -386,9 +386,143 @@ def test_check_H_multiplicative_and_h():
 def test_check_H_fast_diffusion_hemicontinuity():
     # Hoelder-1/2 nonlinearity: refinement ratio ~ 2^{-1/2} still passes.
     dom = SpectralDomain(32)
-    rep = check_H(dom, pme_spec(r=0.5), NoiseSpec(sigma=(0.1,)), n_samples=150)
+    rep = check_H(dom, pme_spec(r=0.5), NoiseSpec(sigma=(0.1,)))
     assert rep.passed
     assert rep.margins["h1"] > 0.0
+
+
+def _reference_fields(dom, rng, n):
+    k = np.arange(1, dom.n_grid + 1, dtype=float)
+    scale = 10.0 ** rng.uniform(-2.0, 1.0, size=(n, 1))
+    coeffs = rng.normal(0.0, 1.0, size=(n, dom.n_grid)) * k**-1.5 * scale
+    return [Field.from_coeffs(dom, c) for c in coeffs]
+
+
+def _reference_check_H(dom, spec, noise):
+    """check_H as a loop over 1000 Field pairs: the batched pass's reference.
+
+    Returns (passed, constants, margins, failures) with each failure as
+    (condition, sample, lhs, rhs).
+    """
+    rng = np.random.default_rng(0)
+    ts = np.linspace(0.0, 1.0, 7) if spec.is_time_dependent else np.array([0.0])
+    declared = declared_constants(dom, spec, noise)
+    failures = []
+    mod = spec.psi.modulation
+    for t in ts if mod is not None else ():
+        if not (mod.a_min - 1e-12 <= mod(t) <= mod.a_max + 1e-12):
+            failures.append(("modulation-bounds", float(t), mod(t), mod.a_max))
+    for t in ts if spec.phi.h_func is not None else ():
+        if abs(spec.phi.h_at(t)) > spec.phi.sup_h + 1e-12:
+            failures.append(("h-bound", float(t), abs(spec.phi.h_at(t)), spec.phi.sup_h))
+
+    def rho(x):
+        return rho_factor(noise, h_norm(dom, x))
+
+    us, vs = _reference_fields(dom, rng, 1000), _reference_fields(dom, rng, 1000)
+    c_emp, h3_margin, h4_margin = -math.inf, math.inf, math.inf
+    for i, (u, v) in enumerate(zip(us, vs)):
+        t = float(ts[i % ts.size])
+        a_u, a_v = assemble_A(dom, spec, t, u), assemble_A(dom, spec, t, v)
+        duv = h_norm(dom, u - v) ** 2
+        lhs2 = (2.0 * h_inner(dom, a_u - a_v, u - v)
+                + (rho(u) - rho(v)) ** 2 * declared["hs0_sq"])
+        c_emp = max(c_emp, lhs2 / duv)
+        if lhs2 > declared["c_h2"] * duv + 1e-9 * (1.0 + abs(lhs2)):
+            failures.append(("h2", i, lhs2, declared["c_h2"] * duv))
+        r_v, r_u = R_functional(dom, spec.psi, v), R_functional(dom, spec.psi, u)
+        lhs3 = 2.0 * h_inner(dom, a_v, v) + rho(v) ** 2 * declared["hs0_sq"]
+        rhs3 = (declared["c1"] * h_norm(dom, v) ** 2 - declared["c2"] * r_v
+                + declared["f_h3"])
+        h3_margin = min(h3_margin, (rhs3 - lhs3) / (1.0 + abs(lhs3) + abs(rhs3)))
+        if lhs3 > rhs3 + 1e-9 * (1.0 + abs(lhs3) + abs(rhs3)):
+            failures.append(("h3", i, lhs3, rhs3))
+        lhs4 = abs(h_inner(dom, a_v, u))
+        rhs4 = declared["g_h4"] + declared["c3"] * (r_v + r_u)
+        h4_margin = min(h4_margin, (rhs4 - lhs4) / (1.0 + abs(lhs4) + abs(rhs4)))
+        if lhs4 > rhs4 + 1e-9 * (1.0 + abs(lhs4) + abs(rhs4)):
+            failures.append(("h4", i, lhs4, rhs4))
+
+    h1_ratio = 0.0
+    for trial in range(3):
+        u, v, x = _reference_fields(dom, rng, 3)
+        t = float(ts[trial % ts.size])
+        sweeps = []
+        for n_pts in (41, 81):
+            vals = np.array([h_inner(dom, assemble_A(dom, spec, t, u + v * lam), x)
+                             for lam in np.linspace(-1.0, 1.0, n_pts)])
+            sweeps.append((float(np.max(np.abs(np.diff(vals)))),
+                           float(np.max(np.abs(vals)))))
+        (coarse, scale), (fine, _) = sweeps
+        if coarse <= 1e-12 * (1.0 + scale):
+            continue
+        h1_ratio = max(h1_ratio, fine / coarse)
+        if fine > 0.75 * coarse:
+            failures.append(("h1", trial, fine, 0.75 * coarse))
+
+    constants = {**declared, "c_emp_h2": c_emp}
+    margins = {"h1": 0.75 - h1_ratio, "h2": declared["c_h2"] - c_emp,
+               "h3": h3_margin, "h4": h4_margin}
+    return not failures, constants, margins, failures
+
+
+def _modulated(func):
+    return PsiSpec(terms=((1.0, 2.0),),
+                   modulation=TimeModulation(func=func, a_min=0.5, a_max=1.0))
+
+
+# name -> (drift on a 16-point grid, whether check_H passes it)
+_H_CASES = {
+    "pme": (lambda dom: pme_spec(), True),
+    "linear": (lambda dom: pme_spec(r=1.0), True),
+    "fast": (lambda dom: pme_spec(r=0.5), True),
+    "zero": (lambda dom: DriftSpec(psi=PsiSpec(), phi=PhiSpec()), True),
+    "log-power": (lambda dom: DriftSpec(psi=PsiSpec(log_power=(2.0, 1.0)), phi=PhiSpec()),
+                  True),
+    "pme-h": (lambda dom: DriftSpec(psi=pme_spec().psi, phi=PhiSpec(h_const=0.25)), True),
+    "modulated": (lambda dom: DriftSpec(
+        psi=_modulated(lambda t: 0.75 + 0.25 * math.cos(2.0 * math.pi * t)),
+        phi=PhiSpec()), True),
+    "h-func": (lambda dom: DriftSpec(psi=pme_spec().psi, phi=PhiSpec(
+        h_func=lambda t: 0.3 * math.sin(2.0 * math.pi * t), h_sup=0.3)), True),
+    "a2-phi0": (a2_spec, True),
+    "modulation-above": (lambda dom: DriftSpec(psi=_modulated(lambda t: 3.0),
+                                               phi=PhiSpec()), False),
+    "modulation-below": (lambda dom: DriftSpec(psi=_modulated(lambda t: 0.1),
+                                               phi=PhiSpec()), False),
+    "modulation-far-above": (lambda dom: DriftSpec(psi=_modulated(lambda t: 30.0),
+                                                   phi=PhiSpec()), False),
+    "h-above-sup": (lambda dom: DriftSpec(psi=pme_spec().psi, phi=PhiSpec(
+        h_func=lambda t: 2.0, h_sup=0.5)), False),
+}
+_H_NOISES = {
+    "additive": NoiseSpec(sigma=(0.3, 0.1, 0.05)),
+    "rho": NoiseSpec(sigma=(0.3, 0.1), mult=RhoFactor(0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("noise", sorted(_H_NOISES))
+@pytest.mark.parametrize("case", sorted(_H_CASES))
+def test_check_H_matches_per_sample_reference(case, noise):
+    dom = SpectralDomain(16)
+    build, passes = _H_CASES[case]
+    spec = build(dom)
+    rep = check_H(dom, spec, _H_NOISES[noise])
+    passed, constants, margins, failures = _reference_check_H(dom, spec, _H_NOISES[noise])
+    assert rep.passed == passed == passes
+    assert rep.n_samples == 1000
+    assert [(f["condition"], f["sample"]) for f in rep.failures] == \
+           [f[:2] for f in failures]
+
+    def close(a, b):
+        return a == b or abs(a - b) <= 1e-11 * (1.0 + abs(b))
+
+    for got, want in ((rep.constants, constants), (rep.margins, margins)):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert close(got[key], want[key]), (key, got[key], want[key])
+    for f, (_, _, lhs, rhs) in zip(rep.failures, failures):
+        assert close(f["lhs"], lhs) and close(f["rhs"], rhs), f
 
 
 def test_declared_constants_additive_pme():

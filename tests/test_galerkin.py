@@ -703,6 +703,9 @@ def test_monte_carlo_validation():
         monte_carlo(cfg, dom, PME, nz, X0, 0, 4, ("dist_sq",))  # no Y0
     with pytest.raises(ValueError):
         monte_carlo(cfg, dom, PME, nz, X0, 0, 4, ("mode_0",))
+    for name in ("mode_17", "int_mode_17"):  # one past the 16-point grid
+        with pytest.raises(ValueError, match=f"observable '{name}': mode index out of range"):
+            monte_carlo(cfg, dom, PME, nz, X0, 0, 4, ("mode_16", name))
     with pytest.raises(ValueError):
         monte_carlo(cfg, dom, PME, nz, X0, 0, 4, ())
 

@@ -10,6 +10,7 @@ from spme.galerkin import StepperConfig, monte_carlo, simulate
 from spme.noise import NoiseSpec, RhoFactor, power_decay_sigma
 from spme.triple import Field, SpectralDomain, h_norm
 from spme.verify import (
+    ItoStudy,
     contraction_test,
     energy_estimate,
     ergodicity_test,
@@ -90,7 +91,18 @@ def test_ito_refinement_order():
                                  dts=(2e-3, 1e-3, 5e-4))
     assert study.order >= 0.8
     assert study.max_residuals[0] > study.max_residuals[1] > study.max_residuals[2]
-    assert "PASS" in study.summary()
+    assert study.passed and "PASS" in study.summary()
+    # The study keeps the ledger of its finest level.
+    assert study.ledger.max_residual == study.max_residuals[-1]
+    assert len(study.ledger.times) == 1001
+
+
+def test_ito_study_passes_only_monotone_residuals():
+    study = ItoStudy(dts=(2e-3, 1e-3, 5e-4), max_residuals=(1e-3, 2e-3, 2.5e-4),
+                     order=0.9, ledger=None)
+    assert study.order >= 0.8 and not study.passed
+    assert study.summary() == \
+        "FAIL ito-refinement: residuals not monotone (0.001, 0.002, 0.00025)"
 
 
 def test_ito_refinement_rejects_non_halving_dts():
