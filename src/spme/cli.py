@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -347,7 +346,9 @@ def _cmd_ito_check(cfg, dom, drift, noise, stepper, seed, out):
         raise ConfigError("ito.dts", "need at least two step sizes to fit an order")
     X0 = _initial(cfg, dom, seed)
     study = ito_refinement_study(dom, drift, noise, X0, seed, stepper.T,
-                                 stepper.n_modes, dts, scheme=stepper.scheme)
+                                 stepper.n_modes, dts, scheme=stepper.scheme,
+                                 implicit_tol=stepper.implicit_tol,
+                                 implicit_max_iter=stepper.implicit_max_iter)
     study.ledger.to_csv(out / "ledger.csv")
     write_csv(out / "refinement.csv", ["dt", "max_residual"],
               zip(study.dts, study.max_residuals))
@@ -360,6 +361,10 @@ def _cmd_contraction(cfg, dom, drift, noise, stepper, seed, out):
               groups=("int", 1), transient_fraction=("float", 0.1),
               floor=("float", 1e-12), y0=("dict", {"shape": "zero"}))
     ensemble, save_every = _run_params(cfg)
+    if not 0.0 <= v["transient_fraction"] < 1.0:
+        raise ConfigError("contraction.transient_fraction", "must lie in [0, 1)")
+    if not (math.isfinite(v["floor"]) and v["floor"] >= 0):
+        raise ConfigError("contraction.floor", "must be >= 0 and finite")
     groups = v["groups"]
     if groups < 1 or ensemble % groups:
         raise ConfigError("contraction.groups",
@@ -498,31 +503,33 @@ def _cmd_ergodicity(cfg, dom, drift, noise, stepper, seed, out):
               y_seed=("int", seed + 1))
     ensemble, save_every = _run_params(cfg)
     observable, lip, declared = v["observable"], v["lip"], v["declared_c"]
+    if not 0.0 < v["tail_fraction"] <= 1.0:
+        raise ConfigError("ergodicity.tail_fraction", "must lie in (0, 1]")
+    _wrap_build("ergodicity.observable", check_observables, (observable,), paired=False,
+                n_grid=dom.n_grid)
     if lip == "auto":
-        m = re.fullmatch(r"mode_(\d+)", observable)
-        if m is None:
+        if not observable.startswith("mode_"):
             raise ConfigError("ergodicity.lip",
                               "auto Lipschitz constants exist only for mode_k "
                               "observables; give lip explicitly")
-        k = int(m.group(1))
-        if not 1 <= k <= dom.n_grid:
-            raise ConfigError("ergodicity.observable", "mode index out of range")
-        lip = math.sqrt(dom.lam[k - 1])
-    _wrap_build("ergodicity.observable", check_observables, (observable,), paired=False,
-                n_grid=dom.n_grid)
+        lip = math.sqrt(dom.lam[int(observable[5:]) - 1])
+    elif not (math.isfinite(lip) and lip >= 0):
+        raise ConfigError("ergodicity.lip", "must be >= 0 and finite")
     if declared == "auto":
         if not is_linear_additive(drift, noise):
             raise ConfigError("ergodicity.declared_c",
                               "auto rate exists only for the linear additive "
                               "setting; give declared_c explicitly")
         declared = -2.0 * dom.lam[0]
+    elif not declared < 0:
+        raise ConfigError("ergodicity.declared_c", "declared rate must be negative")
     X0 = _initial(cfg, dom, seed)
     Y0 = _build_initial(v["y0"], dom, seed, "ergodicity.y0")
     stats_x = monte_carlo(stepper, dom, drift, noise, X0, seed, ensemble,
                           (observable,), save_every=save_every)
     stats_y = monte_carlo(stepper, dom, drift, noise, Y0, v["y_seed"], ensemble,
                           (observable,), save_every=save_every)
-    d0 = h_norm(dom, Field.from_coeffs(dom, X0.coeffs - Y0.coeffs))
+    d0 = h_norm(dom, X0 - Y0)
     rep = ergodicity_test(stats_x, stats_y, observable, lip=lip,
                           declared_c=declared, x0_distance=d0,
                           tail_fraction=v["tail_fraction"])

@@ -624,15 +624,10 @@ def _random_fields(dom: SpectralDomain, rng, n) -> np.ndarray:
     return rng.normal(0.0, 1.0, size=(n, dom.n_grid)) * k**-1.5 * scale
 
 
-def _h_pair(dom: SpectralDomain, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise H inner products <X, Y>_H of coefficient rows."""
-    return np.sum(X * Y / dom.lam, axis=-1)
-
-
 def _hemicontinuity_ratio(dom, spec, u, v, x, t) -> tuple:
     def sweep(n_pts):
         W = u + np.linspace(-1.0, 1.0, n_pts)[:, None] * v
-        vals = _h_pair(dom, drift_coeffs(dom, spec, t, dom.from_spectral(W), W), x)
+        vals = dom.h_pair(drift_coeffs(dom, spec, t, dom.from_spectral(W), W), x)
         return float(np.max(np.abs(np.diff(vals)))), float(np.max(np.abs(vals)))
 
     coarse, scale = sweep(41)
@@ -660,18 +655,18 @@ def check_H(dom: SpectralDomain, spec: DriftSpec, noise: NoiseSpec) -> Condition
         rows = slice(j, None, ts.size)
         A[:, rows] = drift_coeffs(dom, spec, float(t), values[:, rows], UV[:, rows])
     (U, V), (AU, AV) = UV, A
-    hn_sq = _h_pair(dom, UV, UV)
+    hn_sq = dom.h_pair(UV, UV)
     r_u, r_v = young_modular(dom, spec.psi, values) + hn_sq
     rho_u, rho_v = (1.0, 1.0) if noise.mult is None else noise.mult(np.sqrt(hn_sq))
     hs0 = declared["hs0_sq"]
     D = U - V
-    duv = _h_pair(dom, D, D)
+    duv = dom.h_pair(D, D)
     # Weak monotonicity of the pair, coercivity at v, growth of <A(v), u>.
-    lhs2 = 2.0 * _h_pair(dom, AU - AV, D) + (rho_u - rho_v) ** 2 * hs0
+    lhs2 = 2.0 * dom.h_pair(AU - AV, D) + (rho_u - rho_v) ** 2 * hs0
     rhs2 = declared["c_h2"] * duv
-    lhs3 = 2.0 * _h_pair(dom, AV, V) + rho_v**2 * hs0
+    lhs3 = 2.0 * dom.h_pair(AV, V) + rho_v**2 * hs0
     rhs3 = declared["c1"] * hn_sq[1] - declared["c2"] * r_v + declared["f_h3"]
-    lhs4 = np.abs(_h_pair(dom, AV, U))
+    lhs4 = np.abs(dom.h_pair(AV, U))
     rhs4 = declared["g_h4"] + declared["c3"] * (r_v + r_u)
     scale3 = 1.0 + np.abs(lhs3) + np.abs(rhs3)
     scale4 = 1.0 + np.abs(lhs4) + np.abs(rhs4)

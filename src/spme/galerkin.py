@@ -300,7 +300,7 @@ def _step(config: StepperConfig, dom, drift, noise, guard, t, C, dW, records=Fal
         if noise.mult is None:
             z = np.broadcast_to(z, (len(C), noise.n_modes))
         else:
-            z = noise.mult(np.sqrt(np.sum(C * C / dom.lam, axis=-1)))[:, None] * z
+            z = noise.mult(np.sqrt(dom.h_pair(C, C)))[:, None] * z
         noise_c = np.zeros_like(C)
         noise_c[:, :noise.n_modes] = z * dW
         values = dom.from_spectral(C)
@@ -516,13 +516,13 @@ class _Observables(dict):
         if name == "values":
             return dom.from_spectral(C)
         if name == "h_norm_sq":
-            return np.sum(C * C / dom.lam, axis=-1)
+            return dom.h_pair(C, C)
         if name == "dist_sq":
             D = C - self.CY
-            return np.sum(D * D / dom.lam, axis=-1)
+            return dom.h_pair(D, D)
         if name == "drift_norm_sq":
             A = drift_coeffs(dom, self.drift, self.t, self["values"], C)
-            return np.sum(A * A / dom.lam, axis=-1)
+            return dom.h_pair(A, A)
         if name == "modular":
             return np.atleast_1d(young_modular(dom, self.drift.psi, self["values"]))
         if name == "R":

@@ -16,13 +16,12 @@ mode by lam_k,
 
     <u, v>_H = sum_k  u_k v_k / lam_k,
 
-which coincides with m(u * (-L)^{-1} v) by Parseval (m(fg) = sum_k f_k g_k).
-V carries the Luxemburg norm of a Young function plus the H norm.
+which coincides with m(u * (-L)^{-1} v) by Parseval (m(fg) = sum_k f_k g_k);
+``SpectralDomain.h_pair`` is this sum over rows of sine coefficients, and a
+state (``Field``) is one such row.  V carries the Luxemburg norm of a Young
+function plus the H norm.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +73,12 @@ class SpectralDomain:
     def measure(self) -> DiscreteMeasure:
         return DiscreteMeasure(np.full(self.n_grid, self.h))
 
+    def h_pair(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Row-wise H inner products <X, Y>_H = sum_k X_k Y_k / lam_k of coefficient rows."""
+        P = X * Y
+        P /= self.lam  # in place: the bits of X * Y / lam in one temporary
+        return np.sum(P, axis=-1)
+
     def integrate(self, values: np.ndarray) -> float:
         """m(f) = h * sum_i f_i."""
         return float(np.sum(np.asarray(values, dtype=float), axis=-1) * self.h)
@@ -83,54 +88,45 @@ class SpectralDomain:
 
 
 class Field:
-    """State on the interior grid with lazily computed sine coefficients."""
+    """A state: its row of sine coefficients; the grid values are synthesized per read."""
 
-    __slots__ = ("dom", "_values", "_coeffs")
+    __slots__ = ("dom", "coeffs")
 
-    def __init__(self, dom: SpectralDomain, values=None, coeffs=None):
-        if (values is None) == (coeffs is None):
-            raise ValueError("provide exactly one of values or coeffs")
-        self.dom = dom
-        self._values = None if values is None else np.asarray(values, dtype=float)
-        self._coeffs = None if coeffs is None else np.asarray(coeffs, dtype=float)
-        ref = self._values if self._values is not None else self._coeffs
-        if ref.shape != (dom.n_grid,):
-            raise ValueError(f"expected shape ({dom.n_grid},), got {ref.shape}")
+    def __init__(self, dom: SpectralDomain, coeffs):
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (dom.n_grid,):
+            raise ValueError(f"expected shape ({dom.n_grid},), got {coeffs.shape}")
+        self.dom, self.coeffs = dom, coeffs
 
     @classmethod
     def from_values(cls, dom: SpectralDomain, values) -> "Field":
-        return cls(dom, values=values)
+        values = np.asarray(values, dtype=float)
+        if values.shape != (dom.n_grid,):
+            raise ValueError(f"expected shape ({dom.n_grid},), got {values.shape}")
+        return cls(dom, dom.to_spectral(values))
 
     @classmethod
     def from_coeffs(cls, dom: SpectralDomain, coeffs) -> "Field":
-        return cls(dom, coeffs=coeffs)
+        return cls(dom, coeffs)
 
     @classmethod
     def zero(cls, dom: SpectralDomain) -> "Field":
-        return cls(dom, values=np.zeros(dom.n_grid))
+        return cls(dom, np.zeros(dom.n_grid))
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = self.dom.from_spectral(self._coeffs)
-        return self._values
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            self._coeffs = self.dom.to_spectral(self._values)
-        return self._coeffs
+        return self.dom.from_spectral(self.coeffs)
 
     def __add__(self, other: "Field") -> "Field":
         self._check(other)
-        return Field(self.dom, values=self.values + other.values)
+        return Field(self.dom, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Field") -> "Field":
         self._check(other)
-        return Field(self.dom, values=self.values - other.values)
+        return Field(self.dom, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "Field":
-        return Field(self.dom, values=self.values * float(scalar))
+        return Field(self.dom, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
@@ -149,21 +145,21 @@ class Field:
 
 def apply_L(dom: SpectralDomain, f: Field) -> Field:
     """Spectral multiplier (Lf)_k = -lam_k f_k (negative definite)."""
-    return Field(dom, coeffs=-dom.lam * f.coeffs)
+    return Field(dom, -dom.lam * f.coeffs)
 
 
 def apply_Linv(dom: SpectralDomain, f: Field) -> Field:
     """Spectral multiplier -1/lam_k, the inverse of apply_L."""
-    return Field(dom, coeffs=-f.coeffs / dom.lam)
+    return Field(dom, -f.coeffs / dom.lam)
 
 
 def h_inner(dom: SpectralDomain, u: Field, v: Field) -> float:
-    """<u, v>_H = sum_k u_k v_k / lam_k."""
-    return float(np.sum(u.coeffs * v.coeffs / dom.lam))
+    """<u, v>_H, see ``SpectralDomain.h_pair``."""
+    return float(dom.h_pair(u.coeffs, v.coeffs))
 
 
 def h_norm(dom: SpectralDomain, u: Field) -> float:
-    return float(np.sqrt(np.sum(u.coeffs**2 / dom.lam)))
+    return float(np.sqrt(dom.h_pair(u.coeffs, u.coeffs)))
 
 
 def v_norm(dom: SpectralDomain, young, measure: DiscreteMeasure, u: Field) -> float:
@@ -177,7 +173,7 @@ def project(dom: SpectralDomain, n_modes: int, u: Field) -> Field:
         raise ValueError(f"n_modes must lie in [1, {dom.n_grid}], got {n_modes}")
     c = u.coeffs.copy()
     c[n_modes:] = 0.0
-    return Field(dom, coeffs=c)
+    return Field(dom, c)
 
 
 def pairing_vstar_v(dom: SpectralDomain, psi_values: Field, u: Field) -> float:

@@ -76,12 +76,11 @@ def ito_ledger(traj: Trajectory) -> ItoLedger:
         raise ValueError(
             "trajectory lacks the Ito records; simulate with record_ito=True"
         )
-    lam = traj.dom.lam
-    X = traj.coeff_matrix()
-    hn = np.sum(X * X / lam, axis=1)
+    dom, X = traj.dom, traj.coeff_matrix()
+    hn = dom.h_pair(X, X)
     Y, Z, dW = traj.drift_record, traj.diffusion_record, traj.increments
-    lam_n = lam[: Z.shape[1]]
-    pairing = 2.0 * np.sum(Y * X[:-1] / lam, axis=1)
+    lam_n = dom.lam[: Z.shape[1]]
+    pairing = 2.0 * dom.h_pair(Y, X[:-1])
     hs = np.sum(Z * Z / lam_n, axis=1)
     mart = 2.0 * np.sum(Z * dW * X[:-1, : Z.shape[1]] / lam_n, axis=1)
     dt = np.diff(traj.times)
@@ -92,7 +91,7 @@ def ito_ledger(traj: Trajectory) -> ItoLedger:
     # telescoped form sums a^2 - b^2 = (a-b)(a+b) mode by mode, which keeps
     # every term at the size of the actual increment.
     dX = np.diff(X, axis=0)
-    hn_step = np.sum(dX * (X[1:] + X[:-1]) / lam, axis=1)
+    hn_step = dom.h_pair(dX, X[1:] + X[:-1])
     residuals = np.concatenate([[0.0], _compensated_cumsum(hn_step - increments)])
     return ItoLedger(times=traj.times, h_norm_sq=hn, pairing=pairing, hs=hs,
                      martingale=mart, residuals=residuals)
@@ -131,7 +130,9 @@ class ItoStudy:
 
 def ito_refinement_study(dom: SpectralDomain, drift: DriftSpec, noise: NoiseSpec,
                          X0: Field, master_seed: int, T: float, n_modes: int,
-                         dts, scheme: str = "explicit") -> ItoStudy:
+                         dts, scheme: str = "explicit",
+                         implicit_tol=StepperConfig.implicit_tol,
+                         implicit_max_iter=StepperConfig.implicit_max_iter) -> ItoStudy:
     """Ledger gap under dt halving on one coupled Brownian path."""
     dts = tuple(dts)
     if len(dts) < 2:
@@ -144,7 +145,7 @@ def ito_refinement_study(dom: SpectralDomain, drift: DriftSpec, noise: NoiseSpec
     for level, dt in enumerate(dts):
         if level > 0:
             inc = refine_increments(inc, dts[level - 1], master_seed, 0, level=level)
-        cfg = StepperConfig(dt=dt, T=T, n_modes=n_modes, scheme=scheme,
+        cfg = StepperConfig(dt, T, n_modes, scheme, implicit_tol, implicit_max_iter,
                             record_ito=True)
         ledger = ito_ledger(simulate(cfg, dom, drift, noise, X0, master_seed, 0,
                                      increments=inc))

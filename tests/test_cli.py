@@ -465,7 +465,8 @@ _CONFIG_FAULTS = {
                             "config error at ergodicity.lip: auto Lipschitz constants exist "
                             "only for mode_k observables; give lip explicitly"),
     "ergodicity-mode": ("ergodicity", {"ergodicity": {"observable": "mode_9"}}, 2,
-                        "config error at ergodicity.observable: mode index out of range"),
+                        "config error at ergodicity.observable: observable 'mode_9': "
+                        "mode index out of range 1..8"),
     "ergodicity-y_seed-type": ("ergodicity", {"ergodicity": {"y_seed": 1.5}}, 2,
                                "config error at ergodicity.y_seed: expected int, got float"),
     "ergodicity-tail-type": ("ergodicity", {"ergodicity": {"tail_fraction": "x"}}, 2,
@@ -481,6 +482,10 @@ def test_config_fault_names_its_key(tmp_path, capsys, case):
     assert _run(subcommand, "--config", cfg, "--out", tmp_path / "out") == code
     assert capsys.readouterr().err == line + "\n"
 
+
+# A contraction run that passes (100 pairs): a range fault added to it is the only fault.
+_PAIRS = dict(stepper={"dt": 0.001, "T": 0.1, "n_modes": 1},
+              run={"ensemble_size": 100, "master_seed": 3, "save_every": 25})
 
 # A key that would change no output, inputs that would leave a check vacuous,
 # and faults that the library would report without naming the key.
@@ -522,6 +527,24 @@ _REJECTED = {
     "noise-n_modes-grid-ito": ("ito-check", _edit("noise", n_modes=16),
                                "config error at noise.n_modes: more modes than the 8 "
                                "grid points"),
+    "contraction-transient-negative": (
+        "contraction", {**_PAIRS, "contraction": {"declared_c": 0.0, "transient_fraction": -0.5}},
+        "config error at contraction.transient_fraction: must lie in [0, 1)"),
+    "contraction-transient-past-end": (
+        "contraction", {**_PAIRS, "contraction": {"declared_c": 0.0, "transient_fraction": 1.5}},
+        "config error at contraction.transient_fraction: must lie in [0, 1)"),
+    "contraction-floor-negative": (
+        "contraction", {**_PAIRS, "contraction": {"declared_c": 0.0, "floor": -1.0}},
+        "config error at contraction.floor: must be >= 0 and finite"),
+    "ergodicity-tail-above-one": ("ergodicity", {"ergodicity": {"tail_fraction": 2.0}},
+                                  "config error at ergodicity.tail_fraction: must lie in (0, 1]"),
+    "ergodicity-tail-zero": ("ergodicity", {"ergodicity": {"tail_fraction": 0.0}},
+                             "config error at ergodicity.tail_fraction: must lie in (0, 1]"),
+    "ergodicity-lip-negative": ("ergodicity", {"ergodicity": {"lip": -1.0}},
+                                "config error at ergodicity.lip: must be >= 0 and finite"),
+    "ergodicity-declared_c-positive": ("ergodicity", {"ergodicity": {"declared_c": 1.0}},
+                                       "config error at ergodicity.declared_c: declared rate "
+                                       "must be negative"),
 }
 
 
@@ -541,7 +564,11 @@ _BEFORE_THE_RUN = {
     **{k: _REJECTED[k][:2] for k in ("observables-mode", "observables-int-mode",
                                      "ergodicity-mode-lip", "ito-zero-dt", "ito-negative-dt",
                                      "stepper-n_modes-grid-simulate", "noise-n_modes-grid",
-                                     "noise-n_modes-grid-ito")},
+                                     "noise-n_modes-grid-ito", "contraction-transient-negative",
+                                     "contraction-transient-past-end",
+                                     "contraction-floor-negative", "ergodicity-tail-above-one",
+                                     "ergodicity-tail-zero", "ergodicity-lip-negative",
+                                     "ergodicity-declared_c-positive")},
 }
 
 
@@ -570,6 +597,22 @@ def test_ito_check_ledger_is_the_finest_level(tmp_path):
 
 _PME = {"mode": "A1", "psi": {"terms": [[1.0, 2.0]]}}
 
+
+def test_ito_check_steps_with_the_stepper_newton_settings(tmp_path, capsys):
+    # One Newton iteration cannot solve a semi-implicit PME step.  The study's
+    # first level steps at the stepper's dt, so ito-check fails as simulate does.
+    cfg = _write_config(tmp_path, drift=_PME, ito={"dts": [0.001, 0.0005]},
+                        stepper={"dt": 0.001, "T": 0.01, "n_modes": 8,
+                                 "scheme": "semi-implicit", "implicit_max_iter": 1})
+    errors = []
+    for subcommand in ("simulate", "ito-check"):
+        assert _run(subcommand, "--config", cfg, "--out", tmp_path / subcommand) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: implicit solve for path 0 at step 1 did not converge "
+                                "within 1 iterations")
+    assert errors[1] == errors[0]
+
+
 # One case per subcommand (check-conditions in both modes).  ito-check,
 # ergodicity and check-conditions in mode A2 pass here; elsewhere they are
 # tested only on their config errors.
@@ -585,10 +628,7 @@ _EVERY_SUBCOMMAND = {
                             0, "PASS A2: 0 violations"),
     "ito-check": ("ito-check", dict(ito={"dts": [0.002, 0.001, 0.0005]}),
                   0, "PASS ito-refinement: order="),
-    "contraction": ("contraction", dict(stepper={"dt": 0.001, "T": 0.1, "n_modes": 1},
-                                        run={"ensemble_size": 100, "master_seed": 3,
-                                             "save_every": 25},
-                                        contraction={"declared_c": 0.0}),
+    "contraction": ("contraction", dict(**_PAIRS, contraction={"declared_c": 0.0}),
                     0, "PASS contraction"),
     "energy": ("energy", dict(drift=_PME, stepper={"dt": 0.0025, "T": 0.05, "n_modes": 8},
                               run={"ensemble_size": 16, "master_seed": 9, "save_every": 1},

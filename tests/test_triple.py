@@ -82,6 +82,46 @@ def test_field_lazy_both_ways():
     np.testing.assert_allclose(g.values, v, atol=1e-12)
 
 
+def test_field_is_its_coefficient_row():
+    dom = SpectralDomain(16)
+    rng = np.random.default_rng(2)
+    a = Field.from_coeffs(dom, rng.normal(0, 1, 16))
+    b = Field.from_coeffs(dom, rng.normal(0, 1, 16))
+    assert Field.__slots__ == ("dom", "coeffs")
+    assert np.array_equal((a + b).coeffs, a.coeffs + b.coeffs)
+    assert np.array_equal((a - b).coeffs, a.coeffs - b.coeffs)
+    assert np.array_equal((2.0 * a).coeffs, a.coeffs * 2.0)
+    assert np.array_equal((a * 2.0).coeffs, a.coeffs * 2.0)
+    v = rng.normal(0, 3, 16)
+    f = Field.from_values(dom, v)
+    assert np.array_equal(f.coeffs, dom.to_spectral(v))
+    assert np.max(np.abs(f.values - v)) <= 1e-14 * np.max(np.abs(v))
+
+
+def test_field_constructors_reject_a_wrong_shape():
+    dom = SpectralDomain(16)
+    for bad in (np.zeros(15), np.zeros((2, 16)), 0.0):
+        with pytest.raises(ValueError, match="expected shape"):
+            Field(dom, bad)
+        with pytest.raises(ValueError, match="expected shape"):
+            Field.from_coeffs(dom, bad)
+        with pytest.raises(ValueError, match="expected shape"):
+            Field.from_values(dom, bad)
+    with pytest.raises(TypeError):
+        Field(dom, values=np.zeros(16))
+
+
+def test_h_pair_rows_are_h_inner():
+    dom = SpectralDomain(24, alpha=0.7)
+    rng = np.random.default_rng(3)
+    X, Y = rng.normal(0, 1, (2, 5, 24))
+    pairs = dom.h_pair(X, Y)
+    assert pairs.shape == (5,)
+    for x, y, p in zip(X, Y, pairs):
+        assert h_inner(dom, Field(dom, x), Field(dom, y)) == p
+    assert h_norm(dom, Field(dom, X[0])) == np.sqrt(dom.h_pair(X[0], X[0]))
+
+
 def test_apply_L_eigenvector():
     dom = SpectralDomain(25)
     s1 = Field.from_values(dom, dom.basis[:, 0])
