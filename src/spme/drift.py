@@ -211,6 +211,19 @@ class DriftSpec:
 # ---------------------------------------------------------------------------
 
 
+def _power_sum(terms, a):
+    """sum_i c_i a**r_i over the (c_i, r_i) in terms, bitwise a sum begun at 0.0."""
+    if not terms:
+        return np.zeros_like(a)
+    (c, r), *rest = terms
+    out = c * a**r
+    if not c > 0.0:
+        out += 0.0  # 0.0 + (-0.0) is +0.0
+    for c, r in rest:
+        out += c * a**r
+    return out
+
+
 def psi_eval(spec: PsiSpec, t: float, s):
     s = np.asarray(s, dtype=float)
     a = np.abs(s)
@@ -218,9 +231,7 @@ def psi_eval(spec: PsiSpec, t: float, s):
         theta, r = spec.log_power
         out = a ** (theta - 1.0) * np.log1p(a) ** r
     else:
-        out = np.zeros_like(a)
-        for c, r in spec.terms:
-            out += c * a**r
+        out = _power_sum(spec.terms, a)
     return spec.a_at(t) * np.sign(s) * out
 
 
@@ -237,10 +248,8 @@ def psi_prime(spec: PsiSpec, t: float, s):
             theta - 1.0
         ) * r * np.log1p(ap) ** (r - 1.0) / (1.0 + ap)
     else:
-        out = np.zeros_like(a)
         with np.errstate(divide="ignore"):
-            for c, r in spec.terms:
-                out += c * r * a ** (r - 1.0)
+            out = _power_sum([(c * r, r - 1.0) for c, r in spec.terms], a)
     return spec.a_at(t) * out
 
 

@@ -22,7 +22,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .drift import DriftSpec, drift_coeffs, phi0_eval, psi_eval, psi_prime, psi_prime_max, young_modular
 from .noise import NoiseSpec, increments_for_path, path_stream
@@ -217,6 +218,22 @@ def _tridiag_L(vals: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_banded((1, 1), ab, b)`` without its per-call dispatch.
+
+    The same finiteness check, errors and LAPACK ``gtsv`` call (a 1x1 system
+    is divided out), so the solution is bitwise scipy's.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if len(b) == 1:
+        return b / ab[1]
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
+
+
 def _implicit_residual(psi, t, u, b, dt, h):
     """The residual u - dt * L_h Psi(t, u) - b and its max norm, per row."""
     res = u - dt * _tridiag_L(psi_eval(psi, t, u), h) - b
@@ -248,12 +265,13 @@ def _newton_implicit(dom, psi, t, b, dt, tol, max_iter):
         ua, ra, ba, r0 = (u, res, b, rnorm) if full else (u[act], res[act], b[act], rnorm[act])
         k, n = ua.shape
         pp = np.minimum(psi_prime(psi, t, ua), 1.0 / _JACOBIAN_FLOOR)
-        off = -gamma * pp
-        ab = np.zeros((3, k, n))
-        ab[0, :, 1:] = off[:, 1:]
-        ab[1] = 1.0 + 2.0 * gamma * pp
-        ab[2, :, :-1] = off[:, :-1]
-        du = solve_banded((1, 1), ab.reshape(3, k * n), -ra.ravel()).reshape(k, n)
+        ab = np.empty((3, k, n))
+        np.multiply(pp, -gamma, out=ab[0])
+        ab[2] = ab[0]
+        ab[0, :, 0] = ab[2, :, -1] = 0.0  # no coupling between rows
+        np.multiply(pp, 2.0 * gamma, out=ab[1])
+        ab[1] += 1.0
+        du = solve_banded(ab.reshape(3, k * n), -ra.ravel()).reshape(k, n)
         u_try = ua + du
         res_try, r_try = _implicit_residual(psi, t, u_try, ba, dt, h)
         # Rows still backtracking all share the halved step, down to 1/128.
@@ -280,55 +298,75 @@ def _newton_implicit(dom, psi, t, b, dt, tol, max_iter):
     )
 
 
-def _step(config: StepperConfig, dom, drift, noise, guard, t, C, dW, records=False):
-    """Advance the batch C (P, n_grid) by one step of ``config.scheme``.
+class _StepPlan:
+    """What one time loop fixes before its first step; ``step`` does the arithmetic.
 
-    Row p takes the increments dW[p] with its own amplitude rho(|C_p|_H).
-    Returns the new batch and, when ``records`` is set, the pair
-    (A(t, C), rho(|C|_H) sigma) that the Ito ledger needs, else None.
+    The scheme branch and its alpha check, the noise amplitudes, whether
+    Phi_0 has terms, and the loop's stability guard.  The drift and solver
+    functions stay module globals, looked up at each call.
     """
-    dt, m = config.dt, config.n_modes
-    explicit = config.scheme == "explicit"
-    if not explicit and abs(dom.alpha - 1.0) > 1e-12:
-        raise UnsupportedSchemeError(
-            "the semi-implicit Newton path requires the full Laplacian "
-            f"(alpha=1); got alpha={dom.alpha}.  Fall back to the explicit scheme."
-        )
-    # Explicit overflow is the blow-up the time loop reports; keep it silent.
-    with np.errstate(over="ignore", invalid="ignore") if explicit else nullcontext():
-        z = noise.sigma_array()
-        if noise.mult is None:
-            z = np.broadcast_to(z, (len(C), noise.n_modes))
-        else:
-            z = noise.mult(np.sqrt(dom.h_pair(C, C)))[:, None] * z
-        noise_c = np.zeros_like(C)
-        noise_c[:, :noise.n_modes] = z * dW
-        values = dom.from_spectral(C)
-        if explicit:
-            s_max = float(np.max(np.abs(values)))
-            if math.isfinite(s_max):
-                guard.check(s_max, t)
-            A = drift_coeffs(dom, drift, t, values, C)
-            new = np.zeros_like(C)
-            new[:, :m] = C[:, :m] + dt * A[:, :m]
-            new[:, :m] += noise_c[:, :m]
-        else:
-            b = values + dt * (drift.phi.h_at(t) * values + phi0_eval(drift.phi, values))
-            b = b + dom.from_spectral(noise_c)
-            new = dom.to_spectral(_newton_implicit(dom, drift.psi, t, b, dt,
-                                                   config.implicit_tol,
-                                                   config.implicit_max_iter))
-            new[:, m:] = 0.0
-            A = drift_coeffs(dom, drift, t, values, C) if records else None
-    return new, ((A, z) if records else None)
+
+    def __init__(self, config: StepperConfig, dom, drift, noise):
+        self.explicit = config.scheme == "explicit"
+        if not self.explicit and abs(dom.alpha - 1.0) > 1e-12:
+            raise UnsupportedSchemeError(
+                "the semi-implicit Newton path requires the full Laplacian "
+                f"(alpha=1); got alpha={dom.alpha}.  Fall back to the explicit scheme."
+            )
+        self.config, self.dom, self.drift, self.noise = config, dom, drift, noise
+        self.sigma = noise.sigma_array()
+        self.phi0 = bool(drift.phi.phi0_terms)
+        self.guard = _StabilityGuard(dom, drift, config.dt, config.n_modes)
+
+    def step(self, t, C, dW, records=False):
+        """Advance the batch C (B*P, n_grid) by one step.
+
+        C stacks B blocks of P rows, and every block takes the increments dW
+        (P, n_modes); row p has its own amplitude rho(|C_p|_H).  Returns the
+        new batch and, when ``records`` is set, the pair (A(t, C),
+        rho(|C|_H) sigma) that the Ito ledger needs, else None.
+        """
+        config, dom, drift, noise = self.config, self.dom, self.drift, self.noise
+        dt, m = config.dt, config.n_modes
+        # Explicit overflow is the blow-up the time loop reports; keep it silent.
+        with np.errstate(over="ignore", invalid="ignore") if self.explicit else nullcontext():
+            noise_c = np.zeros_like(C)
+            blocks = noise_c.reshape(-1, len(dW), dom.n_grid)[..., :noise.n_modes]
+            if noise.mult is None:
+                z = self.sigma
+                blocks[...] = z * dW
+            else:
+                z = noise.mult(np.sqrt(dom.h_pair(C, C)))[:, None] * self.sigma
+                blocks[...] = z.reshape(blocks.shape) * dW
+            values = dom.from_spectral(C)
+            if self.explicit:
+                s_max = float(np.max(np.abs(values)))
+                if math.isfinite(s_max):
+                    self.guard.check(s_max, t)
+                A = drift_coeffs(dom, drift, t, values, C)
+                new = np.zeros_like(C)
+                new[:, :m] = C[:, :m] + dt * A[:, :m]
+                new[:, :m] += noise_c[:, :m]
+            else:
+                rhs = drift.phi.h_at(t) * values
+                # Without Phi_0 terms a zero is still added, for its bits (-0.0 + 0.0 is +0.0).
+                rhs += phi0_eval(drift.phi, values) if self.phi0 else 0.0
+                b = values + dt * rhs
+                b += dom.from_spectral(noise_c)
+                new = dom.to_spectral(_newton_implicit(dom, drift.psi, t, b, dt,
+                                                       config.implicit_tol,
+                                                       config.implicit_max_iter))
+                new[:, m:] = 0.0
+                A = drift_coeffs(dom, drift, t, values, C) if records else None
+        return new, ((A, np.broadcast_to(z, (len(C), noise.n_modes))) if records else None)
 
 
 def _single_step(scheme, dom, drift, noise, t, X, dW, dt, n_modes, tol=1e-10,
                  max_iter=100) -> Field:
     m = dom.n_grid if n_modes is None else n_modes
     config = StepperConfig(dt, dt, m, scheme, tol, max_iter)
-    C, _ = _step(config, dom, drift, noise, _StabilityGuard(dom, drift, dt, m), t,
-                 X.coeffs[None], np.asarray(dW, dtype=float)[None])
+    C, _ = _StepPlan(config, dom, drift, noise).step(t, X.coeffs[None],
+                                                     np.asarray(dW, dtype=float)[None])
     if not np.all(np.isfinite(C)):
         raise BlowUpError(f"non-finite state after {scheme} step at t={t:.6g}")
     return Field.from_coeffs(dom, C[0])
@@ -358,8 +396,7 @@ def _initial_rows(config: StepperConfig, dom: SpectralDomain, noise: NoiseSpec,
     return rows
 
 
-def _time_loop(config: StepperConfig, dom, drift, noise, C, increments, first_path,
-               records=False):
+def _time_loop(plan: _StepPlan, C, increments, first_path, records=False):
     """Yield ``(k, t_k, C_k, rec)`` for k = 0..n_steps, starting from batch C.
 
     ``increments`` yields each step's increments of P paths, shape
@@ -368,14 +405,13 @@ def _time_loop(config: StepperConfig, dom, drift, noise, C, increments, first_pa
     ``rec`` is the ledger record of the step that led to C_k (None at k = 0
     or without ``records``).  Step failures leave with the path and the step.
     """
-    guard = _StabilityGuard(dom, drift, config.dt, config.n_modes)
+    dom, dt = plan.dom, plan.config.dt
     yield 0, 0.0, C, None
-    for k, dW in zip(range(config.n_steps), increments):
-        t = k * config.dt
+    for k, dW in zip(range(plan.config.n_steps), increments):
+        t = k * dt
         P = len(dW)
         try:
-            C, rec = _step(config, dom, drift, noise, guard, t, C,
-                           dW if len(C) == P else np.tile(dW, (len(C) // P, 1)), records)
+            C, rec = plan.step(t, C, dW, records)
         except ConvergenceError as err:
             err.path, err.step = first_path + err.path % P, k + 1
             raise
@@ -386,10 +422,10 @@ def _time_loop(config: StepperConfig, dom, drift, noise, C, increments, first_pa
         if not np.all(np.isfinite(C)):
             row = int(np.argmin(np.isfinite(C).all(axis=-1)))
             raise BlowUpError(
-                f"non-finite state at step {k + 1} (t={t + config.dt:.6g})", step=k + 1,
+                f"non-finite state at step {k + 1} (t={t + dt:.6g})", step=k + 1,
                 path=first_path + row % P,
             )
-        yield k + 1, (k + 1) * config.dt, C, rec
+        yield k + 1, (k + 1) * dt, C, rec
 
 
 def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
@@ -397,6 +433,7 @@ def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
              increments: np.ndarray | None = None) -> Trajectory:
     """Integrate one path; deterministic in (master_seed, path_idx, config)."""
     C0 = _initial_rows(config, dom, noise, [X0])
+    plan = _StepPlan(config, dom, drift, noise)
     n_steps = config.n_steps
     if increments is None:
         increments = increments_for_path(noise, n_steps, config.dt, master_seed, path_idx)
@@ -408,8 +445,8 @@ def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     states = []
     drift_rec = np.empty((n_steps, dom.n_grid)) if config.record_ito else None
     diff_rec = np.empty((n_steps, noise.n_modes)) if config.record_ito else None
-    for k, _, C, rec in _time_loop(config, dom, drift, noise, C0, increments[:, None],
-                                   path_idx, config.record_ito):
+    for k, _, C, rec in _time_loop(plan, C0, increments[:, None], path_idx,
+                                   config.record_ito):
         states.append(Field.from_coeffs(dom, C[0]))
         if rec is not None:
             drift_rec[k - 1], diff_rec[k - 1] = rec[0][0], rec[1][0]
@@ -600,7 +637,7 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
         P = min(chunk, ensemble_size - start)
         cums = {n: np.zeros(P) for n in names if n.startswith("int_")}
         mean, M2 = np.empty((S, K)), np.empty((S, K))
-        for k, t, Z, _ in _time_loop(config, dom, drift, noise,
+        for k, t, Z, _ in _time_loop(_StepPlan(config, dom, drift, noise),
                                      np.repeat(starts, P, axis=0),
                                      _increment_steps(noise, config, master_seed, start, P),
                                      start):

@@ -84,6 +84,78 @@ def test_psi_prime_families():
     assert psi_prime(logp, 0.0, 0.0) == 0.0  # theta + r > 2 keeps the limit finite
 
 
+def _psi_eval_reference(spec, t, s):
+    """psi_eval as a sum accumulated onto a zero array."""
+    s = np.asarray(s, dtype=float)
+    a = np.abs(s)
+    if spec.log_power is not None:
+        theta, r = spec.log_power
+        out = a ** (theta - 1.0) * np.log1p(a) ** r
+    else:
+        out = np.zeros_like(a)
+        for c, r in spec.terms:
+            out += c * a**r
+    return spec.a_at(t) * np.sign(s) * out
+
+
+def _psi_prime_reference(spec, t, s):
+    """psi_prime as a sum accumulated onto a zero array."""
+    s = np.asarray(s, dtype=float)
+    a = np.abs(s)
+    out = np.zeros_like(a)
+    if spec.log_power is not None:
+        theta, r = spec.log_power
+        pos = a > 0.0
+        ap = a[pos]
+        out[pos] = (theta - 1.0) * ap ** (theta - 2.0) * np.log1p(ap) ** r + ap ** (
+            theta - 1.0
+        ) * r * np.log1p(ap) ** (r - 1.0) / (1.0 + ap)
+    else:
+        with np.errstate(divide="ignore"):
+            for c, r in spec.terms:
+                out += c * r * a ** (r - 1.0)
+    return spec.a_at(t) * out
+
+
+_MOD = TimeModulation(func=lambda t: 1.0 + 0.5 * math.sin(t), a_min=0.5, a_max=1.5)
+
+
+@pytest.mark.parametrize("spec", [
+    PsiSpec(terms=((1.0, 2.0),)),
+    PsiSpec(terms=((0.7, 1.0), (0.3, 2.5), (2.0, 4.0))),
+    PsiSpec(terms=((-0.5, 2.0),)),
+    PsiSpec(terms=((-0.2, 1.0), (1.0, 3.0))),
+    PsiSpec(terms=((1.0, 3.0), (-0.2, 1.0))),
+    PsiSpec(terms=((1.0, 0.5),)),
+    PsiSpec(terms=((2.0, 0.5), (1.0, 1.0)), modulation=_MOD),
+    PsiSpec(log_power=(2.0, 1.0)),
+    PsiSpec(log_power=(1.5, 2.0), modulation=_MOD),
+    PsiSpec(terms=((1.0, 2.0),), modulation=_MOD),
+    PsiSpec(),
+], ids=["pme", "multi", "negative", "negative-lead", "negative-tail", "fast",
+        "fast-modulated", "log", "log-modulated", "pme-modulated", "zero"])
+def test_psi_fast_paths_match_the_term_sum(spec):
+    # Bitwise, signed zeros included: 0.0 + (-0.0) is +0.0, so a negative
+    # leading term at s = 0 must not leave -0.0 behind.
+    finite = np.array([0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 1.0, -2.5, 7.0, 1e-8])
+    edges = np.array([np.nan, -np.nan, np.inf, -np.inf, 1e200, -1e200])
+
+    def same(x, y):
+        return np.asarray(x).tobytes() == np.asarray(y).tobytes() and np.shape(x) == np.shape(y)
+
+    for t in (0.0, 0.7):
+        # Finite inputs raise no RuntimeWarning (an error in this suite), not
+        # even the fast-diffusion Psi'(0) = inf.
+        for s in (finite, finite.reshape(2, 5), -0.0, 0.0, 2.0):
+            assert same(psi_eval(spec, t, s), _psi_eval_reference(spec, t, s))
+            assert same(psi_prime(spec, t, s), _psi_prime_reference(spec, t, s))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same(psi_eval(spec, t, edges), _psi_eval_reference(spec, t, edges))
+            assert same(psi_prime(spec, t, edges), _psi_prime_reference(spec, t, edges))
+    if spec.terms == ((1.0, 0.5),):
+        assert psi_prime(spec, 0.0, 0.0) == math.inf
+
+
 def test_psi_prime_matches_difference_quotient():
     rng = np.random.default_rng(4)
     spec = PsiSpec(terms=((0.7, 1.0), (0.3, 2.5)))

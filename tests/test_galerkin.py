@@ -794,3 +794,105 @@ def test_drift_norm_sq_observable():
                      ("drift_norm_sq",), save_every=10)
     expect = float(np.sum(dom.lam * X0.coeffs**2))
     assert st.mean_of("drift_norm_sq")[0] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in (1, 3, 200) for n in (2, 32, 257)])
+def test_solve_banded_is_scipys_tridiagonal_solve(k, n):
+    # k independent rows of n unknowns in one band: the coupling entries
+    # between rows are zero, as in the Newton solve.
+    rng = np.random.default_rng(k * 1000 + n)
+    ab = rng.normal(0.0, 1.0, (3, k, n))
+    ab[1] += 4.0
+    ab[0, :, 0] = ab[2, :, -1] = 0.0
+    ab = ab.reshape(3, k * n)
+    b = rng.normal(0.0, 1.0, k * n)
+    kept = ab.copy(), b.copy()
+    x = galerkin.solve_banded(ab, b)
+    assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes()
+    assert ab.tobytes() == kept[0].tobytes() and b.tobytes() == kept[1].tobytes()
+
+
+def test_solve_banded_keeps_scipys_errors():
+    ab = np.array([[0.0, -1.0, -1.0], [4.0, 4.0, 4.0], [-1.0, -1.0, 0.0]])
+    b = np.ones(3)
+    # Every entry of ab is checked, the unused corners too.
+    for where in ((0, 0), (1, 1), (2, 2)):
+        for bad in (np.nan, np.inf):
+            worse = ab.copy()
+            worse[where] = bad
+            for args in ((worse, b), (ab, np.where(np.arange(3) == where[1], bad, b))):
+                with pytest.raises(ValueError) as ours:
+                    galerkin.solve_banded(*args)
+                with pytest.raises(ValueError) as ref:
+                    solve_banded((1, 1), *args)
+                assert str(ours.value) == str(ref.value) == "array must not contain infs or NaNs"
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        galerkin.solve_banded(np.zeros((3, 4)), np.ones(4))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_banded((1, 1), np.zeros((3, 4)), np.ones(4))
+
+
+def _count_calls(monkeypatch, names, record=None):
+    """Put a counting wrapper on each named galerkin global; return the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if record is not None:
+                record(name, args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(galerkin, name, counted(name, getattr(galerkin, name)))
+    return calls
+
+
+def test_trace_targets_are_looked_up_at_call_time(monkeypatch):
+    # perfbench rebinds these module globals to trace them, so a step must
+    # look each one up at call time; and the Newton solve makes one banded
+    # solve per iteration for all active rows of a batch.
+    widths = []
+
+    def record(name, args):
+        if name == "solve_banded":
+            widths.append(args[0].shape[1])
+
+    names = ("solve_banded", "psi_eval", "psi_prime", "increments_for_path")
+    calls = _count_calls(monkeypatch, names, record)
+    dom = SpectralDomain(16)
+    nz = NoiseSpec(sigma=(0.2, 0.1))
+    X0 = Field.from_values(dom, 0.5 * np.sin(np.pi * dom.x))
+    cfg = StepperConfig(dt=5e-3, T=0.05, n_modes=16, scheme="semi-implicit")
+
+    simulate(cfg, dom, PME, nz, X0, 3)
+    assert all(calls.values()), calls
+    assert calls["solve_banded"] == calls["psi_prime"]
+    assert set(widths) == {16}
+
+    calls.update(dict.fromkeys(names, 0))
+    widths.clear()
+    monte_carlo(cfg, dom, PME, nz, X0, 3, 5, ("dist_sq",), Y0=Field.zero(dom))
+    assert all(calls.values()), calls
+    assert calls["increments_for_path"] == 5
+    assert calls["solve_banded"] == calls["psi_prime"]
+    # Each iteration solves the 10 rows (X and Y of 5 pairs) still active in one call.
+    assert max(widths) == 10 * 16 and all(w % 16 == 0 for w in widths)
+
+
+def test_semi_implicit_alpha_check_precedes_the_run(monkeypatch):
+    calls = _count_calls(monkeypatch, ("increments_for_path",))
+    dom = SpectralDomain(8, alpha=0.5)
+    X0 = Field.from_values(dom, np.sin(np.pi * dom.x))
+    cfg = StepperConfig(dt=1e-3, T=1e-2, n_modes=8, scheme="semi-implicit")
+    message = ("the semi-implicit Newton path requires the full Laplacian (alpha=1); "
+               "got alpha=0.5.  Fall back to the explicit scheme.")
+    with pytest.raises(UnsupportedSchemeError) as err:
+        simulate(cfg, dom, PME, NoiseSpec(sigma=(0.1,)), X0, 0)
+    assert str(err.value) == message
+    with pytest.raises(UnsupportedSchemeError) as err:
+        monte_carlo(cfg, dom, PME, NoiseSpec(sigma=(0.1,)), X0, 0, 4, ("h_norm_sq",),
+                    Y0=Field.zero(dom))
+    assert str(err.value) == message
+    assert calls["increments_for_path"] == 0
