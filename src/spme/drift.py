@@ -34,7 +34,7 @@ import numpy as np
 
 from .noise import NoiseSpec, hs0_sq
 from .orlicz import LogPowerYoung, PowerSumYoung, YoungFunctionError, young_dual
-from .triple import Field, SpectralDomain, h_norm
+from .triple import SpectralDomain
 
 _S_POS = np.geomspace(1e-4, 1e4, 81)
 _S_GRID = np.concatenate([-_S_POS[::-1], [0.0], _S_POS])
@@ -271,11 +271,6 @@ def phi0_eval(spec: PhiSpec, s):
     return np.sign(s) * out
 
 
-def phi_eval(spec: PhiSpec, t: float, s):
-    s = np.asarray(s, dtype=float)
-    return spec.h_at(t) * s + phi0_eval(spec, s)
-
-
 # ---------------------------------------------------------------------------
 # Drift assembly
 # ---------------------------------------------------------------------------
@@ -294,21 +289,12 @@ def drift_coeffs(
     return out
 
 
-def assemble_A(dom: SpectralDomain, spec: DriftSpec, t: float, X: Field) -> Field:
-    return Field.from_coeffs(dom, drift_coeffs(dom, spec, t, X.values, X.coeffs))
-
-
 def young_modular(dom: SpectralDomain, psi: PsiSpec, values: np.ndarray) -> np.ndarray:
     """m(N(v)) under the grid measure; batched; 0 when Psi == 0."""
     ny = psi.young()
     if ny is None:
         return np.zeros(np.shape(values)[:-1])
     return dom.h * ny(values).sum(axis=-1)
-
-
-def R_functional(dom: SpectralDomain, psi: PsiSpec, v: Field) -> float:
-    """R(v) = m(N(v)) + |v|_H^2, the coercivity functional."""
-    return float(young_modular(dom, psi, v.values)) + h_norm(dom, v) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ class StabilityError(RuntimeError):
 
     ``path`` is the row holding the batch's largest |value| (as a path index)
     and ``step`` the 1-based time step; ``simulate`` and ``monte_carlo`` set
-    both, the one-step functions leave them None.
+    both, and only a direct ``_StepPlan.step`` call leaves them None.
     """
 
     def __init__(self, message: str):
@@ -353,35 +353,34 @@ class _StepPlan:
                 rhs += phi0_eval(drift.phi, values) if self.phi0 else 0.0
                 b = values + dt * rhs
                 b += dom.from_spectral(noise_c)
-                new = dom.to_spectral(_newton_implicit(dom, drift.psi, t, b, dt,
-                                                       config.implicit_tol,
-                                                       config.implicit_max_iter))
+                try:
+                    U = _newton_implicit(dom, drift.psi, t, b, dt, config.implicit_tol,
+                                         config.implicit_max_iter)
+                except ValueError:  # the solve refused a row: overflowed or singular
+                    U = self._rows_alone(t, b)
+                new = dom.to_spectral(U)
                 new[:, m:] = 0.0
                 A = drift_coeffs(dom, drift, t, values, C) if records else None
         return new, ((A, np.broadcast_to(z, (len(C), noise.n_modes))) if records else None)
 
+    def _rows_alone(self, t, b):
+        """Solve the rows of b one at a time, a row that overflowed as NaN.
 
-def _single_step(scheme, dom, drift, noise, t, X, dW, dt, n_modes, tol=1e-10,
-                 max_iter=100) -> Field:
-    m = dom.n_grid if n_modes is None else n_modes
-    config = StepperConfig(dt, dt, m, scheme, tol, max_iter)
-    C, _ = _StepPlan(config, dom, drift, noise).step(t, X.coeffs[None],
-                                                     np.asarray(dW, dtype=float)[None])
-    if not np.all(np.isfinite(C)):
-        raise BlowUpError(f"non-finite state after {scheme} step at t={t:.6g}")
-    return Field.from_coeffs(dom, C[0])
-
-
-def step_explicit(dom, drift, noise, t, X, dW, dt, n_modes=None) -> Field:
-    """One explicit Euler--Maruyama step, projected onto the leading modes."""
-    return _single_step("explicit", dom, drift, noise, t, X, dW, dt, n_modes)
-
-
-def step_semi_implicit(dom, drift, noise, t, X, dW, dt, n_modes=None,
-                       tol=1e-10, max_iter=100) -> Field:
-    """One semi-implicit step: the monotone term is solved on the grid."""
-    return _single_step("semi-implicit", dom, drift, noise, t, X, dW, dt, n_modes,
-                        tol, max_iter)
+        The time loop reports the first NaN row as the blow-up of its path.
+        """
+        config, U = self.config, np.full_like(b, np.nan)
+        for i in range(len(b)):
+            try:
+                U[i] = _newton_implicit(self.dom, self.drift.psi, t, b[i:i + 1], config.dt,
+                                        config.implicit_tol, config.implicit_max_iter)[0]
+            except ConvergenceError as err:
+                err.path = i
+                raise
+            except LinAlgError:
+                raise
+            except ValueError:
+                pass
+        return U
 
 
 def _initial_rows(config: StepperConfig, dom: SpectralDomain, noise: NoiseSpec,
@@ -411,7 +410,13 @@ def _time_loop(plan: _StepPlan, C, increments, first_path, records=False):
         t = k * dt
         P = len(dW)
         try:
-            C, rec = plan.step(t, C, dW, records)
+            try:
+                C, rec = plan.step(t, C, dW, records)
+            except RuntimeWarning:
+                # A warnings filter raised on an overflow: take the step again
+                # silently, like the explicit one, for the check below.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    C, rec = plan.step(t, C, dW, records)
         except ConvergenceError as err:
             err.path, err.step = first_path + err.path % P, k + 1
             raise

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .triple import Field, SpectralDomain, h_norm
+from .triple import SpectralDomain
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,6 @@ def power_decay_sigma(n_modes: int, sigma0: float, beta: float) -> NoiseSpec:
     return NoiseSpec(sigma=tuple(sigma0 * k**-beta))
 
 
-def rho_factor(spec: NoiseSpec, h_norm_value: float) -> float:
-    """rho evaluated at one H-norm (1.0 when the spec is additive)."""
-    return 1.0 if spec.mult is None else float(spec.mult(h_norm_value))
-
-
 def hs0_sq(spec: NoiseSpec, dom: SpectralDomain) -> float:
     """Baseline squared HS norm sum_k sigma_k^2 / lam_k (the rho=1 value)."""
     if spec.n_modes > dom.n_grid:
@@ -97,29 +92,6 @@ def hs0_sq(spec: NoiseSpec, dom: SpectralDomain) -> float:
         )
     sig = spec.sigma_array()
     return float(np.sum(sig**2 / dom.lam[: spec.n_modes]))
-
-
-def hs_norm_sq(spec: NoiseSpec, dom: SpectralDomain, X: Field) -> float:
-    """Squared HS norm of B at state X: rho(|X|_H)^2 * sum sigma_k^2/lam_k."""
-    return rho_factor(spec, h_norm(dom, X)) ** 2 * hs0_sq(spec, dom)
-
-
-def sample_increment(spec: NoiseSpec, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """One vector of independent N(0, dt) mode increments (zeros when dt=0)."""
-    if dt < 0.0:
-        raise ValueError("dt must be >= 0")
-    return rng.normal(0.0, math.sqrt(dt), size=spec.n_modes)
-
-
-def apply_B(spec: NoiseSpec, dom: SpectralDomain, X: Field, dW: np.ndarray) -> Field:
-    """The field B(X) dW, i.e. spectral coefficients rho(|X|_H)*sigma_k*dW_k."""
-    dW = np.asarray(dW, dtype=float)
-    if dW.shape != (spec.n_modes,):
-        raise ValueError(f"expected {spec.n_modes} increments, got shape {dW.shape}")
-    rho = rho_factor(spec, h_norm(dom, X))
-    coeffs = np.zeros(dom.n_grid)
-    coeffs[: spec.n_modes] = rho * spec.sigma_array() * dW
-    return Field.from_coeffs(dom, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -25,18 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .orlicz import DiscreteMeasure, luxemburg_norm
+from .orlicz import DiscreteMeasure
 
 __all__ = [
     "SpectralDomain",
     "Field",
     "apply_L",
-    "apply_Linv",
     "h_inner",
     "h_norm",
-    "v_norm",
-    "project",
-    "pairing_vstar_v",
 ]
 
 
@@ -148,11 +144,6 @@ def apply_L(dom: SpectralDomain, f: Field) -> Field:
     return Field(dom, -dom.lam * f.coeffs)
 
 
-def apply_Linv(dom: SpectralDomain, f: Field) -> Field:
-    """Spectral multiplier -1/lam_k, the inverse of apply_L."""
-    return Field(dom, -f.coeffs / dom.lam)
-
-
 def h_inner(dom: SpectralDomain, u: Field, v: Field) -> float:
     """<u, v>_H, see ``SpectralDomain.h_pair``."""
     return float(dom.h_pair(u.coeffs, v.coeffs))
@@ -160,26 +151,3 @@ def h_inner(dom: SpectralDomain, u: Field, v: Field) -> float:
 
 def h_norm(dom: SpectralDomain, u: Field) -> float:
     return float(np.sqrt(dom.h_pair(u.coeffs, u.coeffs)))
-
-
-def v_norm(dom: SpectralDomain, young, measure: DiscreteMeasure, u: Field) -> float:
-    """||u||_V = Luxemburg norm + H norm."""
-    return luxemburg_norm(u.values, young, measure) + h_norm(dom, u)
-
-
-def project(dom: SpectralDomain, n_modes: int, u: Field) -> Field:
-    """Zero every coefficient beyond the first n_modes (H-orthogonal)."""
-    if not (1 <= n_modes <= dom.n_grid):
-        raise ValueError(f"n_modes must lie in [1, {dom.n_grid}], got {n_modes}")
-    c = u.coeffs.copy()
-    c[n_modes:] = 0.0
-    return Field(dom, c)
-
-
-def pairing_vstar_v(dom: SpectralDomain, psi_values: Field, u: Field) -> float:
-    """V*-V pairing of L(psi of the state) against u: -m(psi_values * u).
-
-    By Parseval this equals h_inner(apply_L(psi_values), u); tests hold the
-    two routes together.
-    """
-    return -dom.integrate(psi_values.values * u.values)

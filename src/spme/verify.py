@@ -97,12 +97,6 @@ def ito_ledger(traj: Trajectory) -> ItoLedger:
                      martingale=mart, residuals=residuals)
 
 
-def ito_residual(traj: Trajectory):
-    """Max absolute ledger gap and the per-time gap curve."""
-    ledger = ito_ledger(traj)
-    return ledger.max_residual, ledger.residuals
-
-
 @dataclass(frozen=True)
 class ItoStudy:
     """Ledger gaps under dt halving; ``ledger`` is the finest level's ledger."""

@@ -10,23 +10,23 @@ from spme.drift import (
     DriftSpec,
     PhiSpec,
     PsiSpec,
-    R_functional,
     TimeModulation,
-    assemble_A,
     check_A1,
     check_A2,
     check_H,
     declared_constants,
+    drift_coeffs,
     implied_eps,
     linv_op_norm,
     monotonicity_constants,
-    phi_eval,
+    phi0_eval,
     psi_eval,
     psi_prime,
     psi_prime_max,
     young_modular,
 )
-from spme.noise import NoiseSpec, RhoFactor, rho_factor
+from spme.galerkin import _Observables
+from spme.noise import NoiseSpec, RhoFactor
 from spme.orlicz import young_dual
 from spme.triple import Field, SpectralDomain, h_inner, h_norm
 
@@ -67,9 +67,16 @@ def test_psi_eval_modulated():
 
 
 def test_phi_eval():
+    # Phi(t, s) = h_t s + Phi_0(s), as the semi-implicit right-hand side
+    # takes it; the drift it enters is odd in the state.
     phi = PhiSpec(h_const=0.3, phi0_terms=((0.1, 1.0),))
-    assert abs(phi_eval(phi, 0.0, 2.0) - (0.6 + 0.2)) < 1e-15
-    assert phi_eval(phi, 0.0, -2.0) == -phi_eval(phi, 0.0, 2.0)
+    assert abs(phi.h_at(0.0) * 2.0 + phi0_eval(phi, 2.0) - (0.6 + 0.2)) < 1e-15
+    assert phi0_eval(phi, -2.0) == -phi0_eval(phi, 2.0)
+    dom = SpectralDomain(8)
+    X = Field.from_values(dom, np.random.default_rng(4).normal(0, 1, 8))
+    spec = DriftSpec(psi=PsiSpec(terms=((1.0, 1.0),)), phi=phi, mode="A2")
+    A = drift_coeffs(dom, spec, 0.0, X.values, X.coeffs)
+    assert np.array_equal(drift_coeffs(dom, spec, 0.0, -X.values, -X.coeffs), -A)
     tf = PhiSpec(h_func=lambda t: 0.5 * math.sin(t), h_sup=0.5)
     assert tf.sup_h == 0.5 and tf.h_at(0.0) == 0.0
 
@@ -212,8 +219,8 @@ def test_assemble_linear_heat():
     rng = np.random.default_rng(8)
     X = Field.from_values(dom, rng.normal(0, 1, 24))
     spec = DriftSpec(psi=PsiSpec(terms=((1.0, 1.0),)), phi=PhiSpec(), mode="A1")
-    A = assemble_A(dom, spec, 0.0, X)
-    np.testing.assert_allclose(A.coeffs, -dom.lam * X.coeffs, rtol=1e-12, atol=1e-14)
+    A = drift_coeffs(dom, spec, 0.0, X.values, X.coeffs)
+    np.testing.assert_allclose(A, -dom.lam * X.coeffs, rtol=1e-12, atol=1e-14)
 
 
 def test_assemble_cubic_quadrature_oracle():
@@ -225,12 +232,12 @@ def test_assemble_cubic_quadrature_oracle():
     e1[0] = 1.0
     X = Field.from_coeffs(dom, e1)
     spec = DriftSpec(psi=PsiSpec(terms=((1.0, 3.0),)), phi=PhiSpec(), mode="A1")
-    A = assemble_A(dom, spec, 0.0, X)
-    assert A.coeffs[0] == pytest.approx(-14.76232257405716, rel=1e-13)
-    assert A.coeffs[2] == pytest.approx(43.28724777414149, rel=1e-13)
-    np.testing.assert_allclose(A.coeffs[0], -1.5 * dom.lam[0], rtol=1e-12)
-    np.testing.assert_allclose(A.coeffs[2], 0.5 * dom.lam[2], rtol=1e-12)
-    others = np.delete(A.coeffs, [0, 2])
+    A = drift_coeffs(dom, spec, 0.0, X.values, X.coeffs)
+    assert A[0] == pytest.approx(-14.76232257405716, rel=1e-13)
+    assert A[2] == pytest.approx(43.28724777414149, rel=1e-13)
+    np.testing.assert_allclose(A[0], -1.5 * dom.lam[0], rtol=1e-12)
+    np.testing.assert_allclose(A[2], 0.5 * dom.lam[2], rtol=1e-12)
+    others = np.delete(A, [0, 2])
     np.testing.assert_allclose(others, 0.0, atol=1e-11)
 
 
@@ -242,7 +249,8 @@ def test_assemble_phi0_zero_consistency():
                      phi=PhiSpec(h_const=0.2), mode="A2")
     a1_like = DriftSpec(psi=base.psi, phi=PhiSpec(h_const=0.2), mode="A1")
     np.testing.assert_array_equal(
-        assemble_A(dom, base, 0.0, X).coeffs, assemble_A(dom, a1_like, 0.0, X).coeffs
+        drift_coeffs(dom, base, 0.0, X.values, X.coeffs),
+        drift_coeffs(dom, a1_like, 0.0, X.values, X.coeffs),
     )
 
 
@@ -258,7 +266,7 @@ def test_assemble_galerkin_coordinates_two_routes():
                      phi=PhiSpec(h_const=0.4, phi0_terms=spec.phi.phi0_terms),
                      mode="A2")
     X = Field.from_values(dom, rng.normal(0, 0.8, 32))
-    A = assemble_A(dom, spec, 0.0, X)
+    A = drift_coeffs(dom, spec, 0.0, X.values, X.coeffs)
 
     n, h = 32, dom.h
     banded = np.zeros((3, n))
@@ -272,7 +280,7 @@ def test_assemble_galerkin_coordinates_two_routes():
     lhs, rhs = [], []
     for j in range(n):
         e_hat = Field.from_coeffs(dom, math.sqrt(dom.lam[j]) * np.eye(n)[j])
-        lhs.append(h_inner(dom, A, e_hat))
+        lhs.append(dom.h_pair(A, e_hat.coeffs))
         linv_e = solve_banded((1, 1), banded, e_hat.values)
         rhs.append(
             -h * np.sum(psi_vals * e_hat.values)
@@ -287,9 +295,9 @@ def test_young_modular_and_R():
     ones = Field.from_values(dom, np.ones(16))
     psi = PsiSpec(terms=((1.0, 1.0),))  # N(s) = s^2
     assert young_modular(dom, psi, ones.values) == pytest.approx(16 * dom.h)
-    assert R_functional(dom, psi, ones) == pytest.approx(
-        16 * dom.h + h_norm(dom, ones) ** 2
-    )
+    spec = DriftSpec(psi=psi, phi=PhiSpec(), mode="A1")
+    R = _Observables(dom, spec, 0.0, ones.coeffs[None], None)["R"]
+    assert R[0] == pytest.approx(16 * dom.h + h_norm(dom, ones) ** 2)
     assert young_modular(dom, PsiSpec(), ones.values) == 0.0
 
 
@@ -488,21 +496,31 @@ def _reference_check_H(dom, spec, noise):
         if abs(spec.phi.h_at(t)) > spec.phi.sup_h + 1e-12:
             failures.append(("h-bound", float(t), abs(spec.phi.h_at(t)), spec.phi.sup_h))
 
-    def rho(x):
-        return rho_factor(noise, h_norm(dom, x))
+    def rho(x):  # rho(|x|_H), 1 for additive noise
+        return 1.0 if noise.mult is None else float(noise.mult(h_norm(dom, x)))
+
+    def drift(t, x):  # A_k = -lam_k Psi(t, x)_k + h_t x_k + Phi_0(x)_k
+        phi0 = x.values * 0.0
+        for c, r in spec.phi.phi0_terms:
+            phi0 += c * np.sign(x.values) * np.abs(x.values) ** r
+        return Field.from_coeffs(dom, -dom.lam * dom.to_spectral(psi_eval(spec.psi, t, x.values))
+                                 + spec.phi.h_at(t) * x.coeffs + dom.to_spectral(phi0))
+
+    def R(x):  # R(x) = m(N(x)) + |x|_H^2
+        return float(young_modular(dom, spec.psi, x.values)) + h_norm(dom, x) ** 2
 
     us, vs = _reference_fields(dom, rng, 1000), _reference_fields(dom, rng, 1000)
     c_emp, h3_margin, h4_margin = -math.inf, math.inf, math.inf
     for i, (u, v) in enumerate(zip(us, vs)):
         t = float(ts[i % ts.size])
-        a_u, a_v = assemble_A(dom, spec, t, u), assemble_A(dom, spec, t, v)
+        a_u, a_v = drift(t, u), drift(t, v)
         duv = h_norm(dom, u - v) ** 2
         lhs2 = (2.0 * h_inner(dom, a_u - a_v, u - v)
                 + (rho(u) - rho(v)) ** 2 * declared["hs0_sq"])
         c_emp = max(c_emp, lhs2 / duv)
         if lhs2 > declared["c_h2"] * duv + 1e-9 * (1.0 + abs(lhs2)):
             failures.append(("h2", i, lhs2, declared["c_h2"] * duv))
-        r_v, r_u = R_functional(dom, spec.psi, v), R_functional(dom, spec.psi, u)
+        r_v, r_u = R(v), R(u)
         lhs3 = 2.0 * h_inner(dom, a_v, v) + rho(v) ** 2 * declared["hs0_sq"]
         rhs3 = (declared["c1"] * h_norm(dom, v) ** 2 - declared["c2"] * r_v
                 + declared["f_h3"])
@@ -521,7 +539,7 @@ def _reference_check_H(dom, spec, noise):
         t = float(ts[trial % ts.size])
         sweeps = []
         for n_pts in (41, 81):
-            vals = np.array([h_inner(dom, assemble_A(dom, spec, t, u + v * lam), x)
+            vals = np.array([h_inner(dom, drift(t, u + v * lam), x)
                              for lam in np.linspace(-1.0, 1.0, n_pts)])
             sweeps.append((float(np.max(np.abs(np.diff(vals)))),
                            float(np.max(np.abs(vals)))))
@@ -655,14 +673,20 @@ def test_dual_bound_for_phi0():
 def test_R_midpoint_bound():
     # R(x+y) <= (R(2x) + R(2y)) / 2 by convexity of N and the parallelogram gap.
     dom = SpectralDomain(24)
-    psi = PsiSpec(terms=((1.0, 2.0),))
+    spec = DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),)), phi=PhiSpec(), mode="A1")
     rng = np.random.default_rng(77)
+    xs, ys = [], []
     for _ in range(300):
-        x = Field.from_values(dom, rng.normal(0, 1.2, 24))
-        y = Field.from_values(dom, rng.normal(0, 0.8, 24))
-        lhs = R_functional(dom, psi, x + y)
-        rhs = 0.5 * (R_functional(dom, psi, x * 2.0) + R_functional(dom, psi, y * 2.0))
-        assert lhs <= rhs * (1 + 1e-12)
+        xs.append(dom.to_spectral(rng.normal(0, 1.2, 24)))
+        ys.append(dom.to_spectral(rng.normal(0, 0.8, 24)))
+    x, y = np.array(xs), np.array(ys)
+
+    def R(C):  # the ensemble observable R = m(N(.)) + |.|_H^2, row by row
+        return _Observables(dom, spec, 0.0, C, None)["R"]
+
+    lhs = R(x + y)
+    rhs = 0.5 * (R(x * 2.0) + R(y * 2.0))
+    assert np.all(lhs <= rhs * (1 + 1e-12))
 
 
 def test_monotone_pairing_argument_level():
@@ -679,8 +703,8 @@ def test_monotone_pairing_argument_level():
         dpsi = psi_eval(spec.psi, 0.0, u.values) - psi_eval(spec.psi, 0.0, v.values)
         mono_part = -dom.integrate(dpsi * diff.values)
         assert mono_part <= 1e-12
-        pairing = h_inner(dom, assemble_A(dom, spec, 0.0, u)
-                          - assemble_A(dom, spec, 0.0, v), diff)
+        pairing = dom.h_pair(drift_coeffs(dom, spec, 0.0, u.values, u.coeffs)
+                             - drift_coeffs(dom, spec, 0.0, v.values, v.coeffs), diff.coeffs)
         assert pairing <= 0.3 * h_norm(dom, diff) ** 2 + 1e-10
 
 

@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
 import spme.galerkin as galerkin
-from spme.drift import DriftSpec, PhiSpec, PsiSpec, assemble_A, psi_eval, psi_prime
+from spme.drift import DriftSpec, PhiSpec, PsiSpec, drift_coeffs, psi_eval, psi_prime
 from spme.galerkin import (
     _JACOBIAN_FLOOR,
     BlowUpError,
@@ -18,16 +19,15 @@ from spme.galerkin import (
     Trajectory,
     UnsupportedSchemeError,
     _implicit_residual,
+    _StepPlan,
     _newton_implicit,
     _tridiag_L,
     monte_carlo,
     simulate,
     simulate_pair,
-    step_explicit,
-    step_semi_implicit,
 )
 from spme.noise import NoiseSpec, RhoFactor, increments_for_path, refine_increments
-from spme.triple import Field, SpectralDomain, h_inner, h_norm
+from spme.triple import Field, SpectralDomain, h_norm
 
 PME = DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),)), phi=PhiSpec(), mode="A1")
 LINEAR = DriftSpec(psi=PsiSpec(terms=((1.0, 1.0),)), phi=PhiSpec(), mode="A1")
@@ -51,11 +51,13 @@ def test_config_validation():
 def test_step_zero_drift_zero_noise_identity():
     dom = SpectralDomain(12)
     X = Field.from_values(dom, np.random.default_rng(0).normal(0, 1, 12))
-    out = step_explicit(dom, NO_DRIFT, ZERO_NOISE, 0.0, X, np.zeros(1), 0.05)
-    np.testing.assert_array_equal(out.coeffs, X.coeffs)
+    cfg = StepperConfig(dt=0.05, T=0.05, n_modes=12)
+    out, _ = _StepPlan(cfg, dom, NO_DRIFT, ZERO_NOISE).step(0.0, X.coeffs[None], np.zeros((1, 1)))
+    np.testing.assert_array_equal(out[0], X.coeffs)
     # The implicit path round-trips through grid values, so exact up to ulps.
-    out = step_semi_implicit(dom, NO_DRIFT, ZERO_NOISE, 0.0, X, np.zeros(1), 0.05)
-    np.testing.assert_allclose(out.coeffs, X.coeffs, rtol=1e-13, atol=1e-16)
+    cfg = StepperConfig(dt=0.05, T=0.05, n_modes=12, scheme="semi-implicit")
+    out, _ = _StepPlan(cfg, dom, NO_DRIFT, ZERO_NOISE).step(0.0, X.coeffs[None], np.zeros((1, 1)))
+    np.testing.assert_allclose(out[0], X.coeffs, rtol=1e-13, atol=1e-16)
 
 
 def test_linear_single_mode_recurrence():
@@ -89,34 +91,38 @@ def test_semi_implicit_linear_equals_tridiagonal_solve():
     rng = np.random.default_rng(1)
     X = Field.from_values(dom, rng.normal(0, 1, 16))
     dt = 0.01
-    out = step_semi_implicit(dom, LINEAR, ZERO_NOISE, 0.0, X, np.zeros(1), dt)
+    cfg = StepperConfig(dt=dt, T=dt, n_modes=16, scheme="semi-implicit")
+    out, _ = _StepPlan(cfg, dom, LINEAR, ZERO_NOISE).step(0.0, X.coeffs[None], np.zeros((1, 1)))
     g = dt / dom.h**2
     ab = np.zeros((3, 16))
     ab[0, 1:] = -g
     ab[1, :] = 1 + 2 * g
     ab[2, :-1] = -g
     u = solve_banded((1, 1), ab, X.values)
-    np.testing.assert_allclose(out.values, u, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(dom.from_spectral(out[0]), u, rtol=1e-12, atol=1e-14)
 
 
 def test_semi_implicit_zero_rhs():
     dom = SpectralDomain(10)
-    out = step_semi_implicit(dom, PME, ZERO_NOISE, 0.0, Field.zero(dom), np.zeros(1), 0.1)
-    np.testing.assert_array_equal(out.values, 0.0)
+    cfg = StepperConfig(dt=0.1, T=0.1, n_modes=10, scheme="semi-implicit")
+    out, _ = _StepPlan(cfg, dom, PME, ZERO_NOISE).step(0.0, np.zeros((1, 10)), np.zeros((1, 1)))
+    np.testing.assert_array_equal(dom.from_spectral(out[0]), 0.0)
 
 
 def test_semi_implicit_requires_full_laplacian():
     dom = SpectralDomain(10, alpha=0.5)
-    X = Field.from_values(dom, np.sin(np.pi * dom.x))
+    cfg = StepperConfig(dt=0.01, T=0.01, n_modes=10, scheme="semi-implicit")
     with pytest.raises(UnsupportedSchemeError):
-        step_semi_implicit(dom, PME, ZERO_NOISE, 0.0, X, np.zeros(1), 0.01)
+        _StepPlan(cfg, dom, PME, ZERO_NOISE)
 
 
 def test_semi_implicit_convergence_error():
     dom = SpectralDomain(32)
     X = Field.from_values(dom, 3.0 * np.sin(np.pi * dom.x))
+    cfg = StepperConfig(dt=5.0, T=5.0, n_modes=32, scheme="semi-implicit",
+                        implicit_max_iter=1)
     with pytest.raises(ConvergenceError, match="residual"):
-        step_semi_implicit(dom, PME, ZERO_NOISE, 0.0, X, np.zeros(1), 5.0, max_iter=1)
+        _StepPlan(cfg, dom, PME, ZERO_NOISE).step(0.0, X.coeffs[None], np.zeros((1, 1)))
 
 
 def _laplacian_1d(v, h):
@@ -241,6 +247,29 @@ def test_batched_newton_non_finite_row_raises_like_its_own_solve():
     assert str(err.value) == str(ref.value)
 
 
+def test_semi_implicit_overflowed_row_leaves_as_nan():
+    # Row 1 overflows the porous-medium solve, which then refuses the batch.
+    # Each row is solved alone: row 1 comes back NaN, for the time loop to
+    # report as a blow-up, and a row that does not converge keeps its index.
+    dom = SpectralDomain(16)
+    C = np.stack([dom.to_spectral(3.0 * np.sin(np.pi * dom.x)), np.full(16, 1e200),
+                  dom.to_spectral(0.1 * np.sin(np.pi * dom.x))])
+    cfg = StepperConfig(dt=0.01, T=0.01, n_modes=16, scheme="semi-implicit")
+    plan = _StepPlan(cfg, dom, PME, ZERO_NOISE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out, _ = plan.step(0.0, C, np.zeros((3, 1)))
+        assert np.isnan(out[1]).all()
+        for i in (0, 2):
+            alone, _ = plan.step(0.0, C[i:i + 1], np.zeros((1, 1)))
+            np.testing.assert_allclose(out[i], alone[0], rtol=1e-12, atol=1e-15)
+        cfg = StepperConfig(dt=5.0, T=5.0, n_modes=16, scheme="semi-implicit",
+                            implicit_max_iter=1)
+        with pytest.raises(ConvergenceError) as err:
+            _StepPlan(cfg, dom, PME, ZERO_NOISE).step(0.0, C[[1, 0]], np.zeros((2, 1)))
+    assert err.value.path == 1
+
+
 def test_convergence_error_names_path_and_step():
     dom = SpectralDomain(32)
     X0 = Field.from_values(dom, 3.0 * np.sin(np.pi * dom.x))
@@ -274,28 +303,37 @@ def test_monte_carlo_convergence_error_names_path(seed, start, path):
 # fails strictly before every other path (simulate alone: blow-up at step 26,
 # the next at 27; the guard at step 7, the next at 8).  T ends at the failing
 # step, so with chunk=3 the first chunk (paths 0-2) finishes and the failure
-# comes from row 2 of the second chunk.
+# comes from row 2 of the second chunk.  Noise of 1e308 overflows the porous-
+# medium solve of every path at step 1, so the ensemble names its first path.
 _GROWTH = DriftSpec(psi=PsiSpec(), phi=PhiSpec(h_const=100.0), mode="A1")
 _CUBE = DriftSpec(psi=PsiSpec(terms=((1.0, 3.0),)), phi=PhiSpec(), mode="A1")
 
 
-@pytest.mark.parametrize("error, n_grid, drift, sigma, dt, steps, seed, chunk", [
-    (BlowUpError, 4, _GROWTH, (1e300,), 0.01, 26, 14, 8),
-    (StabilityError, 8, _CUBE, (3.0, 1.0), 2e-3, 7, 15, 3),
-], ids=["blow-up", "stability"])
-def test_step_failures_name_path_and_step(error, n_grid, drift, sigma, dt, steps, seed,
-                                          chunk):
-    # The blow-up case keeps one chunk: a finished chunk of near-overflow
-    # states would overflow in the moment reduction instead.
+@pytest.mark.parametrize("error, scheme, n_grid, drift, sigma, dt, steps, seed, chunk, first", [
+    (BlowUpError, "explicit", 4, _GROWTH, (1e300,), 0.01, 26, 14, 8, 5),
+    (StabilityError, "explicit", 8, _CUBE, (3.0, 1.0), 2e-3, 7, 15, 3, 5),
+    (BlowUpError, "semi-implicit", 4, _GROWTH, (1e300,), 0.01, 26, 14, 8, 5),
+    (BlowUpError, "semi-implicit", 8, PME, (1e308,), 0.01, 1, 14, 8, 0),
+], ids=["blow-up", "stability", "semi-implicit-blow-up", "semi-implicit-overflow"])
+def test_step_failures_name_path_and_step(error, scheme, n_grid, drift, sigma, dt, steps,
+                                          seed, chunk, first):
+    # The blow-up cases keep one chunk: a finished chunk of near-overflow
+    # states would overflow in the moment reduction instead.  A raising
+    # warnings filter stops a semi-implicit overflow at its first warning;
+    # without one the overflow reaches the solve; both must end the same way.
     dom = SpectralDomain(n_grid)
-    cfg = StepperConfig(dt=dt, T=steps * dt, n_modes=n_grid)
+    cfg = StepperConfig(dt=dt, T=steps * dt, n_modes=n_grid, scheme=scheme)
     nz = NoiseSpec(sigma=sigma)
-    with pytest.raises(error) as sim:
-        simulate(cfg, dom, drift, nz, Field.zero(dom), seed, path_idx=5)
-    with pytest.raises(error) as ens:
-        monte_carlo(cfg, dom, drift, nz, Field.zero(dom), seed, 8, ("mode_1",), chunk=chunk)
-    assert (sim.value.path, sim.value.step) == (5, steps)
-    assert (ens.value.path, ens.value.step) == (5, steps)
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(error) as sim:
+                simulate(cfg, dom, drift, nz, Field.zero(dom), seed, path_idx=5)
+            with pytest.raises(error) as ens:
+                monte_carlo(cfg, dom, drift, nz, Field.zero(dom), seed, 8, ("mode_1",),
+                            chunk=chunk)
+        assert (sim.value.path, sim.value.step) == (5, steps)
+        assert (ens.value.path, ens.value.step) == (first, steps)
 
 
 @pytest.mark.parametrize("chunk", [8, 3])
@@ -325,9 +363,10 @@ def test_richardson_implicit_minus_explicit_second_order():
     X = Field.from_values(dom, 0.1 * np.random.default_rng(1).normal(0, 1, 8))
     diffs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        e = step_explicit(dom, PME, ZERO_NOISE, 0.0, X, np.zeros(1), dt)
-        i = step_semi_implicit(dom, PME, ZERO_NOISE, 0.0, X, np.zeros(1), dt)
-        diffs.append(h_norm(dom, i - e))
+        e, i = (_StepPlan(StepperConfig(dt, dt, 8, scheme), dom, PME, ZERO_NOISE)
+                .step(0.0, X.coeffs[None], np.zeros((1, 1)))[0][0]
+                for scheme in ("explicit", "semi-implicit"))
+        diffs.append(h_norm(dom, Field.from_coeffs(dom, i - e)))
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[0] / diffs[1] > 2.9
     assert diffs[1] / diffs[2] > 3.2
@@ -346,8 +385,10 @@ def test_T_zero_single_state():
 def test_stability_guard_rejects_coarse_dt():
     dom = SpectralDomain(16)
     X = Field.from_values(dom, np.random.default_rng(1).normal(0, 1, 16))
-    with pytest.raises(StabilityError, match="reduce dt"):
-        step_explicit(dom, PME, ZERO_NOISE, 0.0, X, np.zeros(1), 0.1)
+    plan = _StepPlan(StepperConfig(dt=0.1, T=0.1, n_modes=16), dom, PME, ZERO_NOISE)
+    with pytest.raises(StabilityError, match="reduce dt") as err:
+        plan.step(0.0, X.coeffs[None], np.zeros((1, 1)))
+    assert (err.value.path, err.value.step) == (None, None)
 
 
 def test_stability_guard_refuses_singular_derivative():
@@ -355,8 +396,9 @@ def test_stability_guard_refuses_singular_derivative():
     dom = SpectralDomain(16)
     fd = DriftSpec(psi=PsiSpec(terms=((1.0, 0.5),)), phi=PhiSpec(), mode="A1")
     X = Field.from_values(dom, np.sin(np.pi * dom.x))
+    plan = _StepPlan(StepperConfig(dt=1e-6, T=1e-6, n_modes=16), dom, fd, ZERO_NOISE)
     with pytest.raises(StabilityError, match="semi-implicit"):
-        step_explicit(dom, fd, ZERO_NOISE, 0.0, X, np.zeros(1), 1e-6)
+        plan.step(0.0, X.coeffs[None], np.zeros((1, 1)))
 
 
 def test_blow_up_carries_step_index():
@@ -399,9 +441,9 @@ def test_discrete_energy_identity_exact():
     tr = simulate(cfg, dom, PME, ZERO_NOISE, X0, 3)
     for k in range(cfg.n_steps):
         Xk, Xk1 = tr.states[k], tr.states[k + 1]
-        A = assemble_A(dom, PME, k * cfg.dt, Xk)
+        A = drift_coeffs(dom, PME, k * cfg.dt, Xk.values, Xk.coeffs)
         lhs = h_norm(dom, Xk1) ** 2 - h_norm(dom, Xk) ** 2
-        rhs = 2 * cfg.dt * h_inner(dom, A, Xk) + cfg.dt**2 * h_norm(dom, A) ** 2
+        rhs = 2 * cfg.dt * dom.h_pair(A, Xk.coeffs) + cfg.dt**2 * dom.h_pair(A, A)
         assert abs(lhs - rhs) < 1e-14
 
 
@@ -472,8 +514,9 @@ def test_record_ito_contents(scheme):
     assert tr.diffusion_record.shape == (10, 2)
     assert tr.increments.shape == (10, 2)
     for k in (0, 4, 9):
-        A = assemble_A(dom, PME, k * cfg.dt, tr.states[k])
-        np.testing.assert_array_equal(tr.drift_record[k], A.coeffs)
+        Xk = tr.states[k]
+        A = drift_coeffs(dom, PME, k * cfg.dt, Xk.values, Xk.coeffs)
+        np.testing.assert_array_equal(tr.drift_record[k], A)
         np.testing.assert_array_equal(tr.diffusion_record[k], nz.sigma_array())
     np.testing.assert_array_equal(
         tr.increments, increments_for_path(nz, 10, cfg.dt, 23, 0)

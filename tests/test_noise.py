@@ -5,25 +5,35 @@ import math
 import numpy as np
 import pytest
 
+from spme.drift import DriftSpec, PhiSpec, PsiSpec
+from spme.galerkin import StepperConfig, _StepPlan, simulate
 from spme.noise import (
     NoiseSpec,
     RhoFactor,
-    apply_B,
     hs0_sq,
-    hs_norm_sq,
     increments_for_path,
     path_stream,
     power_decay_sigma,
     refine_increments,
-    rho_factor,
-    sample_increment,
 )
 from spme.triple import Field, SpectralDomain, h_norm
+from spme.verify import ito_ledger
+
+NO_DRIFT = DriftSpec(psi=PsiSpec(), phi=PhiSpec(), mode="A1")
 
 
 def random_field(dom, rng, decay=1.5):
     k = np.arange(1, dom.n_grid + 1, dtype=float)
     return Field.from_coeffs(dom, rng.normal(0, 1, dom.n_grid) * k**-decay)
+
+
+def noise_step(spec, dom, X, dW, scheme="explicit"):
+    """B(X) dW as the step takes it: one step of zero drift from the rows X.
+
+    Returns the new rows and the per-row diffusion coefficients rho(|X|_H) sigma.
+    """
+    cfg = StepperConfig(0.01, 0.01, dom.n_grid, scheme)
+    return _StepPlan(cfg, dom, NO_DRIFT, spec).step(0.0, X, dW, records=True)
 
 
 def test_rho_factor_family():
@@ -59,10 +69,8 @@ def test_power_decay_sigma():
 
 def test_sample_increment_zero_dt():
     spec = NoiseSpec(sigma=(1.0, 1.0, 1.0))
-    dW = sample_increment(spec, 0.0, np.random.default_rng(0))
-    assert dW.shape == (3,) and np.all(dW == 0.0)
-    with pytest.raises(ValueError):
-        sample_increment(spec, -1e-3, np.random.default_rng(0))
+    dW = increments_for_path(spec, 1, 0.0, 0, 0)
+    assert dW.shape == (1, 3) and np.all(dW == 0.0)
 
 
 def test_sample_increment_moments():
@@ -70,7 +78,7 @@ def test_sample_increment_moments():
     spec = NoiseSpec(sigma=(1.0,))
     rng = np.random.default_rng(20240812)
     dt = 0.01
-    draws = np.array([sample_increment(spec, dt, rng)[0] for _ in range(200)])
+    draws = increments_for_path(spec, 200, dt, 0, 0, stream=rng)[:, 0]
     big = rng.normal(0.0, math.sqrt(dt), size=100_000)
     draws = np.concatenate([draws, big])  # keep the API exercised, then bulk
     assert abs(draws.mean()) <= 4.0 * math.sqrt(dt / draws.size)
@@ -80,31 +88,42 @@ def test_sample_increment_moments():
 def test_apply_B_zero_sigma():
     dom = SpectralDomain(16)
     spec = NoiseSpec(sigma=(0.0, 0.0))
-    out = apply_B(spec, dom, Field.zero(dom), np.array([1.3, -0.4]))
-    assert np.all(out.values == 0.0)
+    for scheme in ("explicit", "semi-implicit"):
+        out, _ = noise_step(spec, dom, np.zeros((1, 16)), np.array([[1.3, -0.4]]), scheme)
+        assert np.all(dom.from_spectral(out) == 0.0)
 
 
 def test_apply_B_unit_increment_is_scaled_mode():
     dom = SpectralDomain(16)
     spec = NoiseSpec(sigma=(0.7, 0.2))
-    out = apply_B(spec, dom, Field.zero(dom), np.array([1.0, 0.0]))
-    np.testing.assert_allclose(
-        out.values, 0.7 * math.sqrt(2.0) * np.sin(np.pi * dom.x), atol=1e-14
-    )
+    for scheme in ("explicit", "semi-implicit"):
+        out, _ = noise_step(spec, dom, np.zeros((1, 16)), np.array([[1.0, 0.0]]), scheme)
+        np.testing.assert_allclose(
+            dom.from_spectral(out[0]), 0.7 * math.sqrt(2.0) * np.sin(np.pi * dom.x),
+            atol=1e-14
+        )
 
 
 def test_apply_B_dimension_mismatch():
     dom = SpectralDomain(8)
     spec = NoiseSpec(sigma=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        apply_B(spec, dom, Field.zero(dom), np.zeros(3))
+    cfg = StepperConfig(0.01, 0.02, 8)
+    with pytest.raises(ValueError, match="increments must have shape"):
+        simulate(cfg, dom, NO_DRIFT, spec, Field.zero(dom), 0, increments=np.zeros((2, 3)))
 
 
 def test_hs_norm_sq_single_mode():
+    # The ledger's Hilbert--Schmidt term of the first step, at X_0 = 0.
     dom = SpectralDomain(12)
+    cfg = StepperConfig(0.01, 0.01, 12, record_ito=True)
+
+    def hs_at_zero(spec):
+        return ito_ledger(simulate(cfg, dom, NO_DRIFT, spec, Field.zero(dom), 0)).hs[0]
+
     spec = NoiseSpec(sigma=(1.0, 0.0, 0.0))
-    assert abs(hs_norm_sq(spec, dom, Field.zero(dom)) - 1.0 / dom.lam[0]) < 1e-14
-    assert hs_norm_sq(NoiseSpec(sigma=(0.0,)), dom, Field.zero(dom)) == 0.0
+    assert abs(hs_at_zero(spec) - 1.0 / dom.lam[0]) < 1e-14
+    assert abs(hs0_sq(spec, dom) - 1.0 / dom.lam[0]) < 1e-14
+    assert hs_at_zero(NoiseSpec(sigma=(0.0,))) == 0.0
 
 
 def test_hs_norm_sq_matches_basis_image_sum():
@@ -113,12 +132,14 @@ def test_hs_norm_sq_matches_basis_image_sum():
     rng = np.random.default_rng(3)
     spec = NoiseSpec(sigma=tuple(rng.uniform(0, 1, 5)), mult=RhoFactor(0.2, 0.9))
     X = random_field(dom, rng)
-    total = 0.0
-    for k in range(spec.n_modes):
-        e_k = np.zeros(spec.n_modes)
-        e_k[k] = 1.0
-        total += h_norm(dom, apply_B(spec, dom, X, e_k)) ** 2
-    assert abs(total - hs_norm_sq(spec, dom, X)) < 1e-12 * max(1.0, total)
+    # Row k of the batch takes the unit increment e_k: it moves by B(X) e_k.
+    rows = np.repeat(X.coeffs[None], spec.n_modes, axis=0)
+    out, _ = noise_step(spec, dom, rows, np.eye(spec.n_modes))
+    images = out - rows
+    total = float(np.sum(dom.h_pair(images, images)))
+    cfg = StepperConfig(0.01, 0.01, 24, record_ito=True)
+    hs = ito_ledger(simulate(cfg, dom, NO_DRIFT, spec, X, 0)).hs[0]
+    assert abs(total - hs) < 1e-12 * max(1.0, total)
 
 
 def test_hs0_rejects_too_many_modes():
@@ -130,10 +151,12 @@ def test_additive_difference_is_exactly_zero():
     dom = SpectralDomain(16)
     spec = NoiseSpec(sigma=(0.3, 0.2, 0.1))
     rng = np.random.default_rng(11)
-    dW = sample_increment(spec, 0.05, rng)
+    dW = increments_for_path(spec, 1, 0.05, 0, 0, stream=rng)
     u, v = random_field(dom, rng), random_field(dom, rng)
-    diff = apply_B(spec, dom, u, dW) - apply_B(spec, dom, v, dW)
-    assert np.all(diff.coeffs == 0.0)
+    # Rows u and v take the same increments: their B(.) dW coincide.
+    _, (_, z) = noise_step(spec, dom, np.stack([u.coeffs, v.coeffs]), dW)
+    diff = z[0] * dW[0] - z[1] * dW[0]
+    assert np.all(diff == 0.0)
 
 
 def test_lipschitz_contract_multiplicative():
@@ -144,10 +167,8 @@ def test_lipschitz_contract_multiplicative():
     rng = np.random.default_rng(29)
     for _ in range(200):
         u, v = random_field(dom, rng), random_field(dom, rng)
-        drho = abs(
-            rho_factor(spec, h_norm(dom, u)) - rho_factor(spec, h_norm(dom, v))
-        )
-        lhs = drho * hs0  # diagonal B: HS norm of the difference in closed form
+        _, (_, z) = noise_step(spec, dom, np.stack([u.coeffs, v.coeffs]), np.zeros((1, 3)))
+        lhs = math.sqrt(np.sum((z[0] - z[1]) ** 2 / dom.lam[:3]))  # |B(u) - B(v)|_HS
         rhs = spec.lipschitz * hs0 * h_norm(dom, u - v)
         assert lhs <= rhs * (1 + 1e-12)
 

@@ -1,20 +1,23 @@
 """Tests for the discretized Gelfand triple: spectrum, transforms, pairings."""
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+import spme
+from spme.drift import DriftSpec, PhiSpec, PsiSpec, drift_coeffs, psi_eval
+from spme.galerkin import StepperConfig, _StepPlan, simulate
+from spme.noise import NoiseSpec
 from spme.orlicz import PowerSumYoung, luxemburg_norm
-from spme.triple import (
-    Field,
-    SpectralDomain,
-    apply_L,
-    apply_Linv,
-    h_inner,
-    h_norm,
-    pairing_vstar_v,
-    project,
-    v_norm,
-)
+from spme.triple import Field, SpectralDomain, apply_L, h_inner, h_norm
+
+#: Psi = id and Phi = 0: the drift is L X, so <A(X), u>_H is the V*-V
+#: pairing of L X against u.
+IDENTITY_PSI = DriftSpec(psi=PsiSpec(terms=((1.0, 1.0),)), phi=PhiSpec(), mode="A1")
+NO_DRIFT = DriftSpec(psi=PsiSpec(), phi=PhiSpec(), mode="A1")
+ZERO_NOISE = NoiseSpec(sigma=(0.0,))
 
 
 def fd_laplacian_matrix(n):
@@ -28,6 +31,18 @@ def fd_laplacian_matrix(n):
         if i < n - 1:
             A[i, i + 1] = 1.0 / h**2
     return A
+
+
+def green(dom, f):
+    """Coefficients of (-L)^{-1} f: the H pairing of f against each basis row."""
+    return dom.h_pair(f, np.eye(dom.n_grid))
+
+
+def projected(dom, n_modes, u):
+    """u after one step of zero drift and zero noise on the leading n_modes."""
+    plan = _StepPlan(StepperConfig(0.05, 0.05, n_modes), dom, NO_DRIFT, ZERO_NOISE)
+    C, _ = plan.step(0.0, u.coeffs[None], np.zeros((1, 1)))
+    return Field.from_coeffs(dom, C[0])
 
 
 def tridiag_solve(n, rhs):
@@ -145,7 +160,7 @@ def test_inverse_round_trip():
     dom = SpectralDomain(48, alpha=0.5)
     rng = np.random.default_rng(2)
     f = Field.from_values(dom, rng.normal(0, 1, 48))
-    back = apply_L(dom, apply_Linv(dom, f))
+    back = Field.from_coeffs(dom, green(dom, -apply_L(dom, f).coeffs))
     np.testing.assert_allclose(back.values, f.values, atol=1e-10)
 
 
@@ -153,7 +168,7 @@ def test_apply_Linv_eigenvector():
     dom = SpectralDomain(12)
     k = 4
     sk = Field.from_values(dom, dom.basis[:, k - 1])
-    out = apply_Linv(dom, sk)
+    out = Field.from_coeffs(dom, -green(dom, sk.coeffs))
     np.testing.assert_allclose(out.values, -sk.values / dom.lam[k - 1], rtol=1e-11)
 
 
@@ -162,7 +177,7 @@ def test_apply_Linv_matches_tridiagonal_solve():
     dom = SpectralDomain(n, alpha=1.0)
     rng = np.random.default_rng(3)
     f = rng.normal(0, 1, n)
-    ours = apply_Linv(dom, Field.from_values(dom, f)).values
+    ours = -dom.from_spectral(green(dom, dom.to_spectral(f)))
     oracle = tridiag_solve(n, f)
     np.testing.assert_allclose(ours, oracle, atol=1e-10)
 
@@ -183,8 +198,8 @@ def test_h_inner_equals_green_quadrature():
         u = Field.from_values(dom, rng.normal(0, 1, 36))
         v = Field.from_values(dom, rng.normal(0, 1, 36))
         direct = h_inner(dom, u, v)
-        green = dom.integrate(u.values * (-apply_Linv(dom, v).values))
-        assert direct == pytest.approx(green, abs=1e-10)
+        quad = dom.integrate(u.values * dom.from_spectral(green(dom, v.coeffs)))
+        assert direct == pytest.approx(quad, abs=1e-10)
 
 
 def test_v_norm_eigenvector():
@@ -192,9 +207,11 @@ def test_v_norm_eigenvector():
     N = PowerSumYoung((1.0,), (2.0,))
     m = dom.measure()
     s1 = Field.from_values(dom, dom.basis[:, 0])
-    # Luxemburg norm of s_1 under N=s^2 is its weighted L2 norm = 1
+    # ||u||_V = Luxemburg norm + H norm; under N=s^2 the Luxemburg norm of
+    # s_1 is its weighted L2 norm = 1, and its H norm is lam_1^{-1/2}
     expected = luxemburg_norm(s1.values, N, m) + dom.lam[0] ** -0.5
-    assert v_norm(dom, N, m, s1) == pytest.approx(expected, rel=1e-12)
+    assert luxemburg_norm(s1.values, N, m) + h_norm(dom, s1) == pytest.approx(expected,
+                                                                             rel=1e-12)
     assert luxemburg_norm(s1.values, N, m) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -202,23 +219,27 @@ def test_v_norm_zero_and_homogeneity():
     dom = SpectralDomain(15)
     N = PowerSumYoung((1.0, 1.0), (2.0, 4.0))
     m = dom.measure()
-    assert v_norm(dom, N, m, Field.zero(dom)) == 0.0
+    # ||u||_V = Luxemburg norm + H norm
+    zero = Field.zero(dom)
+    assert luxemburg_norm(zero.values, N, m) + h_norm(dom, zero) == 0.0
     rng = np.random.default_rng(6)
     u = Field.from_values(dom, rng.normal(0, 1, 15))
-    assert v_norm(dom, N, m, 2.0 * u) == pytest.approx(2.0 * v_norm(dom, N, m, u), rel=1e-8)
+    v_u = luxemburg_norm(u.values, N, m) + h_norm(dom, u)
+    v_2u = luxemburg_norm(2.0 * u.values, N, m) + h_norm(dom, 2.0 * u)
+    assert v_2u == pytest.approx(2.0 * v_u, rel=1e-8)
 
 
 def test_project_identity_and_kill():
     dom = SpectralDomain(10)
     rng = np.random.default_rng(7)
     u = Field.from_values(dom, rng.normal(0, 1, 10))
-    np.testing.assert_allclose(project(dom, 10, u).values, u.values, atol=1e-12)
+    np.testing.assert_allclose(projected(dom, 10, u).values, u.values, atol=1e-12)
     s6 = Field.from_values(dom, dom.basis[:, 5])
-    np.testing.assert_allclose(project(dom, 5, s6).values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(projected(dom, 5, s6).values, 0.0, atol=1e-12)
     with pytest.raises(ValueError):
-        project(dom, 0, u)
+        StepperConfig(0.05, 0.05, 0)
     with pytest.raises(ValueError):
-        project(dom, 11, u)
+        simulate(StepperConfig(0.05, 0.05, 11), dom, NO_DRIFT, ZERO_NOISE, u, 0)
 
 
 def test_project_idempotent_nonexpanding():
@@ -226,8 +247,8 @@ def test_project_idempotent_nonexpanding():
     rng = np.random.default_rng(8)
     for _ in range(100):
         u = Field.from_values(dom, rng.normal(0, 1, 24))
-        p = project(dom, 7, u)
-        pp = project(dom, 7, p)
+        p = projected(dom, 7, u)
+        pp = projected(dom, 7, p)
         np.testing.assert_allclose(pp.coeffs, p.coeffs, atol=1e-13)
         assert h_norm(dom, p) <= h_norm(dom, u) * (1 + 1e-12)
 
@@ -235,10 +256,13 @@ def test_project_idempotent_nonexpanding():
 def test_pairing_trivial_cases():
     dom = SpectralDomain(22)
     u = Field.from_values(dom, np.ones(22))
-    assert pairing_vstar_v(dom, Field.zero(dom), u) == 0.0
+    zero = Field.zero(dom)
+    A0 = drift_coeffs(dom, IDENTITY_PSI, 0.0, zero.values, zero.coeffs)
+    assert dom.h_pair(A0, u.coeffs) == 0.0
     s1 = Field.from_values(dom, dom.basis[:, 0])
     # psi = identity, v = u = s_1: -m(s_1^2) = -1
-    assert pairing_vstar_v(dom, s1, s1) == pytest.approx(-1.0, rel=1e-12)
+    A1 = drift_coeffs(dom, IDENTITY_PSI, 0.0, s1.values, s1.coeffs)
+    assert dom.h_pair(A1, s1.coeffs) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_pairing_two_routes_agree():
@@ -248,9 +272,11 @@ def test_pairing_two_routes_agree():
         for _ in range(250):
             psi = Field.from_values(dom, rng.normal(0, 1, 64))
             u = Field.from_values(dom, rng.normal(0, 1, 64))
-            quad = pairing_vstar_v(dom, psi, u)
-            spectral = h_inner(dom, apply_L(dom, psi), u)
+            quad = -dom.integrate(psi_eval(IDENTITY_PSI.psi, 0.0, psi.values) * u.values)
+            A = drift_coeffs(dom, IDENTITY_PSI, 0.0, psi.values, psi.coeffs)
+            spectral = dom.h_pair(A, u.coeffs)
             assert quad == pytest.approx(spectral, abs=1e-10)
+            assert h_inner(dom, apply_L(dom, psi), u) == pytest.approx(spectral, abs=1e-10)
 
 
 def test_embedding_constant():
@@ -281,3 +307,17 @@ def test_domain_validation():
         SpectralDomain(16, alpha=1.5)
     with pytest.raises(ValueError):
         SpectralDomain(16, alpha=0.0)
+
+
+_MODULES_WITH_ALL = sorted(
+    m.name for m in pkgutil.iter_modules(spme.__path__)
+    if hasattr(importlib.import_module(f"spme.{m.name}"), "__all__")
+)
+
+
+@pytest.mark.parametrize("module", _MODULES_WITH_ALL)
+def test_every_all_entry_resolves(module):
+    namespace = {}
+    exec(f"from spme.{module} import *", namespace)
+    names = importlib.import_module(f"spme.{module}").__all__
+    assert names and all(name in namespace for name in names)

@@ -18,7 +18,6 @@ from spme.verify import (
     is_linear_additive,
     ito_ledger,
     ito_refinement_study,
-    ito_residual,
     ou_oracle,
 )
 
@@ -48,9 +47,9 @@ def test_ito_residual_zero_drift_zero_noise():
     dom = SpectralDomain(8)
     cfg = StepperConfig(dt=1e-3, T=0.05, n_modes=8, record_ito=True)
     traj = simulate(cfg, dom, NO_DRIFT, ZERO_NOISE, _sine_start(dom), 0)
-    max_res, residuals = ito_residual(traj)
-    np.testing.assert_array_equal(residuals, 0.0)
-    assert max_res == 0.0
+    led = ito_ledger(traj)
+    np.testing.assert_array_equal(led.residuals, 0.0)
+    assert led.max_residual == 0.0
 
 
 def test_ito_residual_deterministic_quadratic_remainder():
@@ -75,7 +74,7 @@ def test_ito_ledger_stochastic_gap_is_small():
     noise = power_decay_sigma(6, 0.05, 1.0)
     cfg = StepperConfig(dt=1e-3, T=0.5, n_modes=12, record_ito=True)
     traj = simulate(cfg, dom, LINEAR, noise, _sine_start(dom), 11)
-    max_res, _ = ito_residual(traj)
+    max_res = ito_ledger(traj).max_residual
     scale = np.max(np.sum(traj.coeff_matrix()**2 / dom.lam, axis=1))
     assert max_res < 0.05 * scale
 
