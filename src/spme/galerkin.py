@@ -18,7 +18,6 @@ and a batched one (matrix-matrix product) may differ in the last bits.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +89,10 @@ class ConvergenceError(RuntimeError):
 
 class UnsupportedSchemeError(RuntimeError):
     """Scheme/domain combination not available."""
+
+
+class _NonFiniteSystem(ValueError):
+    """``solve_banded`` refused a system with an inf or a NaN in it."""
 
 
 def write_csv(path, header, rows) -> None:
@@ -222,10 +225,11 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``scipy.linalg.solve_banded((1, 1), ab, b)`` without its per-call dispatch.
 
     The same finiteness check, errors and LAPACK ``gtsv`` call (a 1x1 system
-    is divided out), so the solution is bitwise scipy's.
+    is divided out), so the solution is bitwise scipy's.  The finiteness
+    error is a ``ValueError`` of its own type, so a step can tell it apart.
     """
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise _NonFiniteSystem("array must not contain infs or NaNs")
     if len(b) == 1:
         return b / ab[1]
     x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
@@ -328,39 +332,37 @@ class _StepPlan:
         """
         config, dom, drift, noise = self.config, self.dom, self.drift, self.noise
         dt, m = config.dt, config.n_modes
-        # Explicit overflow is the blow-up the time loop reports; keep it silent.
-        with np.errstate(over="ignore", invalid="ignore") if self.explicit else nullcontext():
-            noise_c = np.zeros_like(C)
-            blocks = noise_c.reshape(-1, len(dW), dom.n_grid)[..., :noise.n_modes]
-            if noise.mult is None:
-                z = self.sigma
-                blocks[...] = z * dW
-            else:
-                z = noise.mult(np.sqrt(dom.h_pair(C, C)))[:, None] * self.sigma
-                blocks[...] = z.reshape(blocks.shape) * dW
-            values = dom.from_spectral(C)
-            if self.explicit:
-                s_max = float(np.max(np.abs(values)))
-                if math.isfinite(s_max):
-                    self.guard.check(s_max, t)
-                A = drift_coeffs(dom, drift, t, values, C)
-                new = np.zeros_like(C)
-                new[:, :m] = C[:, :m] + dt * A[:, :m]
-                new[:, :m] += noise_c[:, :m]
-            else:
-                rhs = drift.phi.h_at(t) * values
-                # Without Phi_0 terms a zero is still added, for its bits (-0.0 + 0.0 is +0.0).
-                rhs += phi0_eval(drift.phi, values) if self.phi0 else 0.0
-                b = values + dt * rhs
-                b += dom.from_spectral(noise_c)
-                try:
-                    U = _newton_implicit(dom, drift.psi, t, b, dt, config.implicit_tol,
-                                         config.implicit_max_iter)
-                except ValueError:  # the solve refused a row: overflowed or singular
-                    U = self._rows_alone(t, b)
-                new = dom.to_spectral(U)
-                new[:, m:] = 0.0
-                A = drift_coeffs(dom, drift, t, values, C) if records else None
+        noise_c = np.zeros_like(C)
+        blocks = noise_c.reshape(-1, len(dW), dom.n_grid)[..., :noise.n_modes]
+        if noise.mult is None:
+            z = self.sigma
+            blocks[...] = z * dW
+        else:
+            z = noise.mult(np.sqrt(dom.h_pair(C, C)))[:, None] * self.sigma
+            blocks[...] = z.reshape(blocks.shape) * dW
+        values = dom.from_spectral(C)
+        if self.explicit:
+            s_max = float(np.max(np.abs(values)))
+            if math.isfinite(s_max):
+                self.guard.check(s_max, t)
+            A = drift_coeffs(dom, drift, t, values, C)
+            new = np.zeros_like(C)
+            new[:, :m] = C[:, :m] + dt * A[:, :m]
+            new[:, :m] += noise_c[:, :m]
+        else:
+            rhs = drift.phi.h_at(t) * values
+            # Without Phi_0 terms a zero is still added, for its bits (-0.0 + 0.0 is +0.0).
+            rhs += phi0_eval(drift.phi, values) if self.phi0 else 0.0
+            b = values + dt * rhs
+            b += dom.from_spectral(noise_c)
+            try:
+                U = _newton_implicit(dom, drift.psi, t, b, dt, config.implicit_tol,
+                                     config.implicit_max_iter)
+            except _NonFiniteSystem:  # a row overflowed
+                U = self._rows_alone(t, b)
+            new = dom.to_spectral(U)
+            new[:, m:] = 0.0
+            A = drift_coeffs(dom, drift, t, values, C) if records else None
         return new, ((A, np.broadcast_to(z, (len(C), noise.n_modes))) if records else None)
 
     def _rows_alone(self, t, b):
@@ -376,9 +378,7 @@ class _StepPlan:
             except ConvergenceError as err:
                 err.path = i
                 raise
-            except LinAlgError:
-                raise
-            except ValueError:
+            except _NonFiniteSystem:
                 pass
         return U
 
@@ -410,13 +410,7 @@ def _time_loop(plan: _StepPlan, C, increments, first_path, records=False):
         t = k * dt
         P = len(dW)
         try:
-            try:
-                C, rec = plan.step(t, C, dW, records)
-            except RuntimeWarning:
-                # A warnings filter raised on an overflow: take the step again
-                # silently, like the explicit one, for the check below.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    C, rec = plan.step(t, C, dW, records)
+            C, rec = plan.step(t, C, dW, records)
         except ConvergenceError as err:
             err.path, err.step = first_path + err.path % P, k + 1
             raise
@@ -450,11 +444,13 @@ def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     states = []
     drift_rec = np.empty((n_steps, dom.n_grid)) if config.record_ito else None
     diff_rec = np.empty((n_steps, noise.n_modes)) if config.record_ito else None
-    for k, _, C, rec in _time_loop(plan, C0, increments[:, None], path_idx,
-                                   config.record_ito):
-        states.append(Field.from_coeffs(dom, C[0]))
-        if rec is not None:
-            drift_rec[k - 1], diff_rec[k - 1] = rec[0][0], rec[1][0]
+    # Overflow is the blow-up that the time loop reports; keep it silent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, _, C, rec in _time_loop(plan, C0, increments[:, None], path_idx,
+                                       config.record_ito):
+            states.append(Field.from_coeffs(dom, C[0]))
+            if rec is not None:
+                drift_rec[k - 1], diff_rec[k - 1] = rec[0][0], rec[1][0]
 
     times = np.arange(n_steps + 1) * config.dt
     return Trajectory(
@@ -638,17 +634,17 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     S, K = len(save_idx), len(names)
 
     total_n, total_mean, total_M2 = 0, np.zeros((S, K)), np.zeros((S, K))
-    for start in range(0, ensemble_size, chunk):
-        P = min(chunk, ensemble_size - start)
-        cums = {n: np.zeros(P) for n in names if n.startswith("int_")}
-        mean, M2 = np.empty((S, K)), np.empty((S, K))
-        for k, t, Z, _ in _time_loop(_StepPlan(config, dom, drift, noise),
-                                     np.repeat(starts, P, axis=0),
-                                     _increment_steps(noise, config, master_seed, start, P),
-                                     start):
-            # Finite states can still overflow an observable or a moment;
-            # the check after the loop reports it.
-            with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow, of a state or of a moment of finite states, is the blow-up
+    # that the time loop or the check below reports; keep it silent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, ensemble_size, chunk):
+            P = min(chunk, ensemble_size - start)
+            cums = {n: np.zeros(P) for n in names if n.startswith("int_")}
+            mean, M2 = np.empty((S, K)), np.empty((S, K))
+            for k, t, Z, _ in _time_loop(_StepPlan(config, dom, drift, noise),
+                                         np.repeat(starts, P, axis=0),
+                                         _increment_steps(noise, config, master_seed, start, P),
+                                         start):
                 obs = _Observables(dom, drift, t, Z[:P], Z[P:] if Y0 is not None else None)
                 if k in save_set:
                     x = np.stack([cums[n] if n in cums else obs[n] for n in names], axis=-1)
@@ -658,14 +654,13 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
                 if k < n_steps:
                     for n in cums:  # left-endpoint rule, matching the step scheme
                         cums[n] += config.dt * obs[n[4:]]
-        with np.errstate(over="ignore", invalid="ignore"):
             total_n, total_mean, total_M2 = _merge_moments(
                 total_n, total_mean, total_M2, P, mean, M2)
-        finite = np.isfinite(total_mean).all(axis=-1) & np.isfinite(total_M2).all(axis=-1)
-        if not finite.all():
-            step = save_idx[int(np.argmin(finite))]
-            raise BlowUpError(f"non-finite ensemble moment at step {step} "
-                              f"(t={step * config.dt:.6g})", step=step)
+            finite = np.isfinite(total_mean).all(axis=-1) & np.isfinite(total_M2).all(axis=-1)
+            if not finite.all():
+                step = save_idx[int(np.argmin(finite))]
+                raise BlowUpError(f"non-finite ensemble moment at step {step} "
+                                  f"(t={step * config.dt:.6g})", step=step)
 
     var = total_M2 / (total_n - 1)
     var = np.maximum(var, 0.0)

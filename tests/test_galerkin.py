@@ -9,7 +9,15 @@ import pytest
 from scipy.linalg import solve_banded
 
 import spme.galerkin as galerkin
-from spme.drift import DriftSpec, PhiSpec, PsiSpec, drift_coeffs, psi_eval, psi_prime
+from spme.drift import (
+    DriftSpec,
+    PhiSpec,
+    PsiSpec,
+    TimeModulation,
+    drift_coeffs,
+    psi_eval,
+    psi_prime,
+)
 from spme.galerkin import (
     _JACOBIAN_FLOOR,
     BlowUpError,
@@ -268,6 +276,21 @@ def test_semi_implicit_overflowed_row_leaves_as_nan():
         with pytest.raises(ConvergenceError) as err:
             _StepPlan(cfg, dom, PME, ZERO_NOISE).step(0.0, C[[1, 0]], np.zeros((2, 1)))
     assert err.value.path == 1
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "semi-implicit"])
+def test_modulation_error_keeps_its_type_and_message(scheme):
+    # Only the solver's refusal of a non-finite system counts as an overflow;
+    # another ValueError raised inside the step leaves as it is.
+    dom = SpectralDomain(8)
+    mod = TimeModulation(func=lambda t: math.sqrt(t - 1.0), a_min=1.0, a_max=2.0)
+    drift = DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),), modulation=mod), phi=PhiSpec(),
+                      mode="A1")
+    cfg = StepperConfig(dt=0.01, T=0.01, n_modes=8, scheme=scheme)
+    X0 = Field.from_values(dom, np.sin(np.pi * dom.x))
+    with pytest.raises(ValueError, match="^math domain error$") as err:
+        simulate(cfg, dom, drift, ZERO_NOISE, X0, 0)
+    assert type(err.value) is ValueError
 
 
 def test_convergence_error_names_path_and_step():
