@@ -341,9 +341,8 @@ _CUBE = DriftSpec(psi=PsiSpec(terms=((1.0, 3.0),)), phi=PhiSpec(), mode="A1")
 def test_step_failures_name_path_and_step(error, scheme, n_grid, drift, sigma, dt, steps,
                                           seed, chunk, first):
     # The blow-up cases keep one chunk: a finished chunk of near-overflow
-    # states would overflow in the moment reduction instead.  A raising
-    # warnings filter stops a semi-implicit overflow at its first warning;
-    # without one the overflow reaches the solve; both must end the same way.
+    # states would overflow in the moment reduction instead.  An overflow
+    # must end the same way under a raising and an ignoring warnings filter.
     dom = SpectralDomain(n_grid)
     cfg = StepperConfig(dt=dt, T=steps * dt, n_modes=n_grid, scheme=scheme)
     nz = NoiseSpec(sigma=sigma)
