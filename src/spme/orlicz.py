@@ -33,7 +33,6 @@ monotone cubic (no extrapolation).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -309,7 +308,6 @@ _DELTA2_S_GRID = np.geomspace(1e-3, 1e3, 61)
 _DELTA2_R_GRID = np.geomspace(2.0, 2.0**10, 41)
 
 
-@functools.lru_cache(maxsize=256)
 def delta2_constant(young: YoungLike, finite: bool = True) -> float:
     """Doubling constant C with N(2s) <= C (N(s) + 1_finite) on the sample range.
 
@@ -363,7 +361,6 @@ def _verify_power_growth(young, q: float, finite: bool, r_grid, s_grid) -> None:
             )
 
 
-@functools.lru_cache(maxsize=256)
 def delta2_exponent(young: YoungLike, finite: bool = True) -> float:
     """Power-growth exponent q > 2 with N(r s) <= r^q (N(s) + 2*1_finite), r >= 2.
 

@@ -117,6 +117,23 @@ def test_check_conditions_pass_and_fail(tmp_path, capsys):
     assert "FAIL A1" in capsys.readouterr().out
 
 
+def test_check_conditions_A2_writes_the_closed_form_budget(tmp_path, capsys):
+    # Phi_0 = s is paid for in L^2, where the L^{-1} bound is exactly 1/lam_1;
+    # with Phi_0 and Young coefficients c = a = 1, eps = c / (a lam_1) = 1/lam_1.
+    cfg = _write_config(tmp_path, drift={"mode": "A2",
+                                         "psi": {"terms": [[1.0, 1.0], [1.0, 3.0]]},
+                                         "phi": {"phi0_terms": [[1.0, 1.0]]}})
+    assert _run("check-conditions", "--config", cfg, "--out", tmp_path / "out") == 0
+    out = capsys.readouterr().out
+    assert "PASS A2" in out and "PASS H" in out
+    header, a2_row, _ = (tmp_path / "out" / "conditions.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), a2_row.split(",")))
+    lam1 = cli._build_domain(json.loads(cfg.read_text())).lam[0]
+    assert row["report"] == "A2"
+    assert row["const_linv_op_norm_p2"] == format(1.0 / lam1, ".17g")
+    assert row["const_eps_implied"] == format(1.0 / lam1, ".17g")
+
+
 def test_blow_up_exit_code(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

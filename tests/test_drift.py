@@ -371,11 +371,62 @@ def test_monotonicity_constants_power_lower_bound():
 def test_linv_op_norm_band():
     dom = SpectralDomain(64)
     est = linv_op_norm(dom, 2.0)
-    # Self-adjointness pins the true L^2 norm at 1/lam_1; the sampled estimate
-    # carries a 1.5x inflation and must stay inside the corresponding band.
+    # Self-adjointness pins the true L^2 norm at 1/lam_1; an upper bound may
+    # not fall below it.
     assert est <= 1.5 / dom.lam[0] * (1 + 1e-12)
-    assert est >= 0.5 / dom.lam[0]
-    assert linv_op_norm(dom, 2.0) == est  # memoized
+    assert est >= (1 - 1e-12) / dom.lam[0]
+    assert linv_op_norm(dom, 2.0) == est
+
+
+def _boyd_maximiser(G, p, max_iter=200):
+    """Boyd's p-norm power iteration: a local maximiser of |G x|_p / |x|_p.
+
+    D. W. Boyd, "The power method for l^p norms", Linear Algebra Appl. 9
+    (1974).  dual(v, r) is the unit vector of the dual norm that attains
+    <dual(v, r), v> = |v|_r; the iteration stops once no ascent is left.
+    """
+    q = p / (p - 1.0)
+
+    def dual(v, r):
+        return np.sign(v) * (np.abs(v) / np.linalg.norm(v, r)) ** (r - 1.0)
+
+    x = np.ones(G.shape[0]) / np.linalg.norm(np.ones(G.shape[0]), p)
+    for _ in range(max_iter):
+        z = G.T @ dual(G @ x, p)
+        if np.linalg.norm(z, q) <= z @ x:
+            break
+        x = dual(z, q)
+    return x
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("n_grid", [16, 64, 128])
+def test_linv_op_norm_is_a_bound(n_grid, alpha, p):
+    dom = SpectralDomain(n_grid, alpha)
+    bound = linv_op_norm(dom, p)
+
+    def linv(F):  # L^{-1} on grid values, one field per row
+        return dom.from_spectral(dom.to_spectral(F) / dom.lam)
+
+    # The uniform weights h cancel in |L^{-1} f|_p / |f|_p, so plain vector
+    # p-norms of the grid values give the L^p ratio.
+    G = linv(np.eye(n_grid))
+    fields = np.vstack([np.eye(n_grid), np.ones(n_grid), _boyd_maximiser(G, p)])
+    ratios = np.linalg.norm(linv(fields), p, axis=1) / np.linalg.norm(fields, p, axis=1)
+    assert bound >= (1 - 1e-12) * ratios.max()
+    if p == 2.0:
+        assert bound == pytest.approx(1.0 / dom.lam[0], rel=1e-12, abs=0.0)
+    # theta = 1 at p = 1 leaves the Schur constant max_i sum_j |G_ij|, which
+    # the bound reads off L^{-1} 1 because G is entrywise positive.
+    schur = linv_op_norm(dom, 1.0)
+    assert G.min() > 0.0
+    assert schur == pytest.approx(np.abs(G).sum(axis=1).max(), rel=1e-12, abs=0.0)
+    if alpha == 1.0:
+        # At alpha = 1 the row sums solve -Delta_h u = 1, whose solution
+        # x(1 - x)/2 the three-point stencil reproduces exactly.
+        exact = np.max(dom.x * (1.0 - dom.x) / 2.0)
+        assert schur == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_check_A2_cubic_and_compliant_phi0():
