@@ -314,8 +314,8 @@ def _cmd_check_conditions(cfg, dom, drift, noise, stepper, seed, out):
     if reports[0].passed:
         # The coercivity report and the declared constants presuppose a
         # valid nonlinearity, so skip them once the base check failed.
-        reports.append(check_H(dom, drift, noise))
-        consts = declared_constants(dom, drift, noise)
+        consts = declared_constants(dom, drift, noise, reports[0].constants.get("eps_implied"))
+        reports.append(check_H(dom, drift, noise, consts))
         write_csv(out / "constants.csv", ["key", "value"], sorted(consts.items()))
         outputs.append("constants.csv")
     rows = [r.to_row() for r in reports]

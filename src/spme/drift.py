@@ -29,6 +29,7 @@ are sampled at 7 points of [0, 1].
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,6 +101,10 @@ class PsiSpec:
         exps = [r for _, r in terms]
         if len(set(exps)) != len(exps):
             raise ValueError("power-sum exponents must be pairwise distinct")
+        # Psi'(s) = sum_i c_i r_i |s|^(r_i - 1), its terms built once for psi_prime;
+        # a term with r_i < 1 divides by zero at s = 0.
+        object.__setattr__(self, "_prime_terms", tuple((c * r, r - 1.0) for c, r in terms))
+        object.__setattr__(self, "_prime_singular", any(r < 1.0 for r in exps))
 
     @property
     def a_min(self) -> float:
@@ -214,15 +219,18 @@ class DriftSpec:
 
 
 def _power_sum(terms, a):
-    """sum_i c_i a**r_i over the (c_i, r_i) in terms, bitwise a sum begun at 0.0."""
+    """sum_i c_i a**r_i over the (c_i, r_i) in terms, bitwise a sum begun at 0.0.
+
+    A coefficient 1.0 is not multiplied in: x * 1.0 is x.
+    """
     if not terms:
         return np.zeros_like(a)
     (c, r), *rest = terms
-    out = c * a**r
+    out = a**r if c == 1.0 else c * a**r
     if not c > 0.0:
         out += 0.0  # 0.0 + (-0.0) is +0.0
     for c, r in rest:
-        out += c * a**r
+        out += a**r if c == 1.0 else c * a**r
     return out
 
 
@@ -234,6 +242,8 @@ def psi_eval(spec: PsiSpec, t: float, s):
         out = a ** (theta - 1.0) * np.log1p(a) ** r
     else:
         out = _power_sum(spec.terms, a)
+    if spec.modulation is None:  # a(t) == 1.0 multiplies nothing
+        return np.sign(s) * out
     return spec.a_at(t) * np.sign(s) * out
 
 
@@ -250,9 +260,9 @@ def psi_prime(spec: PsiSpec, t: float, s):
             theta - 1.0
         ) * r * np.log1p(ap) ** (r - 1.0) / (1.0 + ap)
     else:
-        with np.errstate(divide="ignore"):
-            out = _power_sum([(c * r, r - 1.0) for c, r in spec.terms], a)
-    return spec.a_at(t) * out
+        with np.errstate(divide="ignore") if spec._prime_singular else nullcontext():
+            out = _power_sum(spec._prime_terms, a)
+    return out if spec.modulation is None else spec.a_at(t) * out
 
 
 def psi_prime_max(spec: PsiSpec, t: float, s_max: float) -> float:
@@ -330,13 +340,18 @@ def monotonicity_constants(psi: PsiSpec) -> tuple:
     return tuple((psi.a_min * c * 2.0 ** (1.0 - r), r) for c, r in psi.terms)
 
 
-def implied_eps(dom: SpectralDomain, spec: DriftSpec) -> float:
-    """Smallest budget fraction eps consistent with the phi0 coefficients."""
+def implied_eps(dom: SpectralDomain, spec: DriftSpec, norms: dict | None = None) -> float:
+    """Smallest budget fraction eps consistent with the phi0 coefficients.
+
+    ``norms`` maps an exponent r to ``linv_op_norm(dom, r + 1)`` where the
+    caller already holds it; a missing one is computed.
+    """
     if not spec.phi.phi0_terms:
         return 0.0
+    norms = norms or {}
     young_coeff = {r: spec.psi.a_min * c for c, r in spec.psi.terms}
     return max(
-        c * linv_op_norm(dom, r + 1.0) / young_coeff[r]
+        c * (norms[r] if r in norms else linv_op_norm(dom, r + 1.0)) / young_coeff[r]
         for c, r in spec.phi.phi0_terms
     )
 
@@ -542,7 +557,7 @@ def check_A2(spec: DriftSpec, dom: SpectralDomain) -> ConditionReport:
                 {"condition": "phi1", "sample": (float(s1[worst]), float(s2[worst])),
                  "lhs": float(lhs_phi1[worst]), "rhs": float(rhs_phi1[worst])}
             )
-        eps = implied_eps(dom, spec)
+        eps = implied_eps(dom, spec, norms)
         constants["eps_implied"] = eps
         margins["phi2"] = 1.0 - eps
         if eps >= 1.0:
@@ -569,8 +584,12 @@ def check_A2(spec: DriftSpec, dom: SpectralDomain) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def declared_constants(dom: SpectralDomain, spec: DriftSpec, noise: NoiseSpec) -> dict:
+def declared_constants(dom: SpectralDomain, spec: DriftSpec, noise: NoiseSpec,
+                       eps: float | None = None) -> dict:
     """The constants the inequalities are certified against.
+
+    ``eps`` is ``implied_eps(dom, spec)`` where the caller already holds it
+    (the A2 report's ``eps_implied``); None computes it.
 
     Derivation sketch (all state-free bounds):
       * weak monotonicity: drift difference pairing <= sup|h| |u-v|_H^2 and
@@ -590,7 +609,8 @@ def declared_constants(dom: SpectralDomain, spec: DriftSpec, noise: NoiseSpec) -
     hs0 = hs0_sq(noise, dom)
     lip_b_sq = (noise.lipschitz * math.sqrt(hs0)) ** 2
     rho_max = 1.0 if noise.mult is None else noise.mult.rho_max
-    eps = implied_eps(dom, spec)
+    if eps is None:
+        eps = implied_eps(dom, spec)
     c_psi3 = spec.psi.a_max / spec.psi.a_min
     c2 = 2.0 * (1.0 - eps)
     return {
@@ -626,16 +646,19 @@ def _hemicontinuity_ratio(dom, spec, u, v, x, t) -> tuple:
     return coarse, fine, scale
 
 
-def check_H(dom: SpectralDomain, spec: DriftSpec, noise: NoiseSpec) -> ConditionReport:
+def check_H(dom: SpectralDomain, spec: DriftSpec, noise: NoiseSpec,
+            declared: dict | None = None) -> ConditionReport:
     """Empirically certify hemicontinuity, weak monotonicity, coercivity, growth.
 
     The samples are 1000 random field pairs (u_i, v_i), pair i taken at time
     ``ts[i % len(ts)]``; they are evaluated as coefficient rows, one batch per
-    sampled time.
+    sampled time.  ``declared`` is ``declared_constants(dom, spec, noise)``
+    where the caller already holds it; None computes it.
     """
     rng = np.random.default_rng(0)
     ts = _t_samples(spec)
-    declared = declared_constants(dom, spec, noise)
+    if declared is None:
+        declared = declared_constants(dom, spec, noise)
     failures: list = []
     _modulation_within_bounds(spec, ts, failures)
 

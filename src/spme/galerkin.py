@@ -8,11 +8,14 @@ on the grid (tridiagonal Jacobian) and is available for the full Laplacian
 (``alpha = 1``) only.
 
 Both flavours share one step on a ``(P, n_grid)`` batch of coefficient rows
-and one time loop.  Per-path noise comes from the dedicated streams in
-:mod:`spme.noise`, so a trajectory is a function of ``(master_seed, path_idx,
-config)``: bitwise for a fixed batching (config, seed, chunk), and up to
-rounding across batchings, since a one-row transform (matrix-vector product)
-and a batched one (matrix-matrix product) may differ in the last bits.
+and one time loop, driven by ``simulate`` (one row), ``simulate_pair`` (X and
+Y as two rows on one path's increments) and ``monte_carlo``.  Per-path noise
+comes from the dedicated streams in :mod:`spme.noise`, so a trajectory is a
+function of ``(master_seed, path_idx, config)``: bitwise for a fixed batching
+(config, seed, chunk), and up to rounding across batchings, since a one-row
+transform (matrix-vector product) and a batched one (matrix-matrix product)
+may differ in the last bits.  So a ``simulate_pair`` trajectory agrees with
+its own ``simulate`` run up to rounding.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ class StabilityError(RuntimeError):
     """Explicit stability guard violated.
 
     ``path`` is the row holding the batch's largest |value| (as a path index)
-    and ``step`` the 1-based time step; ``simulate`` and ``monte_carlo`` set
-    both, and only a direct ``_StepPlan.step`` call leaves them None.
+    and ``step`` the 1-based time step; every time loop sets both, and only a
+    direct ``_StepPlan.step`` call leaves them None.
     """
 
     def __init__(self, message: str):
@@ -73,7 +76,7 @@ class ConvergenceError(RuntimeError):
     """Newton did not reach the residual tolerance.
 
     ``path`` is the first failing row in index order (the solver sees batch
-    rows; ``simulate`` and ``monte_carlo`` turn it into the path index) and
+    rows; the time loop turns it into the path index) and
     ``step`` the 1-based time step, None where unknown.
     """
 
@@ -427,11 +430,15 @@ def _time_loop(plan: _StepPlan, C, increments, first_path, records=False):
         yield k + 1, (k + 1) * dt, C, rec
 
 
-def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
-             noise: NoiseSpec, X0: Field, master_seed: int, path_idx: int = 0,
-             increments: np.ndarray | None = None) -> Trajectory:
-    """Integrate one path; deterministic in (master_seed, path_idx, config)."""
-    C0 = _initial_rows(config, dom, noise, [X0])
+def _simulate_rows(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
+                   noise: NoiseSpec, starts, master_seed: int, path_idx: int,
+                   increments: np.ndarray | None) -> list:
+    """Run the start fields as one batch on one path's increments.
+
+    Returns one ``Trajectory`` per start, each with its own ledger records
+    when ``config.record_ito`` asks; the increments array is shared.
+    """
+    C0 = _initial_rows(config, dom, noise, starts)
     plan = _StepPlan(config, dom, drift, noise)
     n_steps = config.n_steps
     if increments is None:
@@ -441,36 +448,45 @@ def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
         if increments.shape != (n_steps, noise.n_modes):
             raise ValueError("increments must have shape (n_steps, n_modes)")
 
-    states = []
-    drift_rec = np.empty((n_steps, dom.n_grid)) if config.record_ito else None
-    diff_rec = np.empty((n_steps, noise.n_modes)) if config.record_ito else None
+    states = [[] for _ in starts]
+    drift_rec = np.empty((len(starts), n_steps, dom.n_grid)) if config.record_ito else None
+    diff_rec = np.empty((len(starts), n_steps, noise.n_modes)) if config.record_ito else None
     # Overflow is the blow-up that the time loop reports; keep it silent.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, _, C, rec in _time_loop(plan, C0, increments[:, None], path_idx,
                                        config.record_ito):
-            states.append(Field.from_coeffs(dom, C[0]))
+            for rows, row in zip(states, C):
+                rows.append(Field.from_coeffs(dom, row))
             if rec is not None:
-                drift_rec[k - 1], diff_rec[k - 1] = rec[0][0], rec[1][0]
+                drift_rec[:, k - 1], diff_rec[:, k - 1] = rec
 
     times = np.arange(n_steps + 1) * config.dt
-    return Trajectory(
-        dom=dom, times=times, states=states, path_seed=(master_seed, path_idx),
-        drift_record=drift_rec, diffusion_record=diff_rec,
-        increments=increments if config.record_ito else None,
-    )
+    return [Trajectory(dom=dom, times=times, states=rows, path_seed=(master_seed, path_idx),
+                       drift_record=None if drift_rec is None else drift_rec[i],
+                       diffusion_record=None if diff_rec is None else diff_rec[i],
+                       increments=increments if config.record_ito else None)
+            for i, rows in enumerate(states)]
+
+
+def simulate(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
+             noise: NoiseSpec, X0: Field, master_seed: int, path_idx: int = 0,
+             increments: np.ndarray | None = None) -> Trajectory:
+    """Integrate one path; deterministic in (master_seed, path_idx, config)."""
+    return _simulate_rows(config, dom, drift, noise, [X0], master_seed, path_idx,
+                          increments)[0]
 
 
 def simulate_pair(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
                   noise: NoiseSpec, X0: Field, Y0: Field, seed: int):
-    """Two trajectories driven by the identical Brownian increments.
+    """Two trajectories driven by the identical Brownian increments of path 0.
 
-    Two single-row runs, so each matches ``simulate`` bitwise (a 2-row batch
-    would round differently).
+    X and Y run as one 2-row batch, the layout of ``monte_carlo(..., Y0=...)``
+    with one path, so each agrees with its own ``simulate`` run up to rounding
+    (a 2-row transform is a matrix product, a 1-row one a matrix-vector
+    product).  A failing row is reported as path 0 at its step; the explicit
+    stability guard watches the state range of both rows.
     """
-    inc = increments_for_path(noise, config.n_steps, config.dt, seed, 0)
-    tx = simulate(config, dom, drift, noise, X0, seed, 0, increments=inc)
-    ty = simulate(config, dom, drift, noise, Y0, seed, 0, increments=inc)
-    return tx, ty
+    return tuple(_simulate_rows(config, dom, drift, noise, [X0, Y0], seed, 0, None))
 
 
 # ---------------------------------------------------------------------------

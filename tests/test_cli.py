@@ -134,6 +134,32 @@ def test_check_conditions_A2_writes_the_closed_form_budget(tmp_path, capsys):
     assert row["const_eps_implied"] == format(1.0 / lam1, ".17g")
 
 
+def test_check_conditions_A2_computes_each_certificate_once(tmp_path, monkeypatch):
+    # One norm per distinct p (Psi = s + s^3 pays in L^2 and L^4) and one set
+    # of declared constants, shared by the A2 report, the H report and
+    # constants.csv.
+    import spme.drift as drift
+
+    ps, declared = [], []
+
+    def counted(log, fn):
+        def wrapper(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(drift, "linv_op_norm", counted(ps, drift.linv_op_norm))
+    counted_declared = counted(declared, drift.declared_constants)
+    monkeypatch.setattr(drift, "declared_constants", counted_declared)
+    monkeypatch.setattr(cli, "declared_constants", counted_declared)
+    cfg = _write_config(tmp_path, drift={"mode": "A2",
+                                         "psi": {"terms": [[1.0, 1.0], [1.0, 3.0]]},
+                                         "phi": {"phi0_terms": [[1.0, 1.0]]}})
+    assert _run("check-conditions", "--config", cfg, "--out", tmp_path / "out") == 0
+    assert sorted(p for _, p in ps) == [2.0, 4.0]
+    assert len(declared) == 1
+
+
 def test_blow_up_exit_code(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

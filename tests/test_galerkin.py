@@ -36,6 +36,7 @@ from spme.galerkin import (
 )
 from spme.noise import NoiseSpec, RhoFactor, increments_for_path, refine_increments
 from spme.triple import Field, SpectralDomain, h_norm
+from spme.verify import ito_ledger
 
 PME = DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),)), phi=PhiSpec(), mode="A1")
 LINEAR = DriftSpec(psi=PsiSpec(terms=((1.0, 1.0),)), phi=PhiSpec(), mode="A1")
@@ -505,6 +506,77 @@ def test_pair_growth_bounded_by_h():
         np.testing.assert_allclose(dist[k + 1], dist[k] * (1 + h_c * cfg.dt), rtol=1e-12)
 
 
+_PAIR_CASES = {
+    "semi-implicit-additive": ("semi-implicit", NoiseSpec(sigma=(0.3, 0.1, 0.05)), False),
+    "explicit-rho": ("explicit", NoiseSpec(sigma=(0.4, 0.2), mult=RhoFactor(0.2, 1.5)), False),
+    "semi-implicit-rho-ledger": ("semi-implicit",
+                                 NoiseSpec(sigma=(0.4, 0.2), mult=RhoFactor(0.2, 1.5)), True),
+}
+
+
+@pytest.mark.parametrize("case", list(_PAIR_CASES))
+def test_pair_matches_two_simulate_runs(case):
+    # X and Y run as one 2-row batch: each agrees with its own one-row run on
+    # the same increments up to rounding (a 2-row transform is a matrix
+    # product, a 1-row one a matrix-vector product).
+    scheme, nz, record = _PAIR_CASES[case]
+    dom = SpectralDomain(16)
+    cfg = StepperConfig(dt=5e-4, T=0.05, n_modes=16, scheme=scheme, record_ito=record)
+    X0 = Field.from_values(dom, 0.5 * np.sin(np.pi * dom.x))
+    Y0 = Field.from_values(dom, 0.3 * np.random.default_rng(2).normal(0, 1, 16))
+    inc = increments_for_path(nz, cfg.n_steps, cfg.dt, 9, 0)
+    pair = simulate_pair(cfg, dom, PME, nz, X0, Y0, 9)
+    for tr, start in zip(pair, (X0, Y0)):
+        ref = simulate(cfg, dom, PME, nz, start, 9, 0, increments=inc)
+        assert tr.path_seed == ref.path_seed == (9, 0)
+        np.testing.assert_array_equal(tr.times, ref.times)
+        C, R = tr.coeff_matrix(), ref.coeff_matrix()
+        assert np.max(np.abs(C - R)) <= 1e-13 * np.max(np.abs(R))
+        if not record:
+            assert tr.drift_record is tr.diffusion_record is tr.increments is None
+            continue
+        np.testing.assert_array_equal(tr.increments, inc)
+        assert tr.drift_record.shape == (cfg.n_steps, 16)
+        assert tr.diffusion_record.shape == (cfg.n_steps, 2)
+        np.testing.assert_allclose(tr.drift_record, ref.drift_record, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref.drift_record)))
+        np.testing.assert_allclose(tr.diffusion_record, ref.diffusion_record, rtol=1e-13)
+        led, led_ref = ito_ledger(tr), ito_ledger(ref)
+        scale = np.max(led_ref.h_norm_sq)
+        for name in ("h_norm_sq", "pairing", "hs", "martingale", "residuals"):
+            np.testing.assert_allclose(getattr(led, name), getattr(led_ref, name), rtol=0,
+                                       atol=1e-12 * scale, err_msg=name)
+    if record:
+        assert pair[0].increments is pair[1].increments
+        assert not np.shares_memory(pair[0].drift_record, pair[1].drift_record)
+
+
+_PAIR_FAILURES = {
+    "blow-up": (BlowUpError, "explicit", _GROWTH, 0.01, 40, 1e300),
+    "semi-implicit-blow-up": (BlowUpError, "semi-implicit", _GROWTH, 0.01, 40, 1e300),
+    "stability": (StabilityError, "explicit", _CUBE, 2e-3, 10, 3.0),
+    "convergence": (ConvergenceError, "semi-implicit", PME, 5.0, 2, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_PAIR_FAILURES))
+def test_pair_failure_in_Y_row_names_path_0_and_its_step(case):
+    # X stays at zero (no noise, Psi(0) = 0), so only the Y row fails: the
+    # pair leaves with the error, path 0 and step of Y's own one-row run.
+    error, scheme, drift, dt, steps, amplitude = _PAIR_FAILURES[case]
+    dom = SpectralDomain(8)
+    cfg = StepperConfig(dt=dt, T=steps * dt, n_modes=8, scheme=scheme, implicit_max_iter=1)
+    Y0 = Field.from_values(dom, amplitude * np.sin(np.pi * dom.x))
+    with pytest.raises(error) as single:
+        simulate(cfg, dom, drift, ZERO_NOISE, Y0, 4)
+    with pytest.raises(error) as pair:
+        simulate_pair(cfg, dom, drift, ZERO_NOISE, Field.zero(dom), Y0, 4)
+    assert single.value.step is not None
+    assert (pair.value.path, pair.value.step) == (single.value.path, single.value.step)
+    assert pair.value.path == 0
+    assert str(pair.value) == str(single.value)
+
+
 def test_refinement_coupling_shrinks_error():
     # dt and dt/2 runs on the same Brownian path (pairwise-sum coupling):
     # distance to a dt/4 reference decreases under refinement.
@@ -944,6 +1016,15 @@ def test_trace_targets_are_looked_up_at_call_time(monkeypatch):
     assert calls["solve_banded"] == calls["psi_prime"]
     # Each iteration solves the 10 rows (X and Y of 5 pairs) still active in one call.
     assert max(widths) == 10 * 16 and all(w % 16 == 0 for w in widths)
+
+    calls.update(dict.fromkeys(names, 0))
+    widths.clear()
+    simulate_pair(cfg, dom, PME, nz, X0, Field.zero(dom), 3)
+    assert all(calls.values()), calls
+    # One increment array drives both rows, solved together while both are active.
+    assert calls["increments_for_path"] == 1
+    assert calls["solve_banded"] == calls["psi_prime"]
+    assert max(widths) == 2 * 16 and all(w % 16 == 0 for w in widths)
 
 
 def test_semi_implicit_alpha_check_precedes_the_run(monkeypatch):
