@@ -449,7 +449,11 @@ def _sandwich(spec: DriftSpec, young, ts):
 
 
 def check_A1(spec: DriftSpec) -> ConditionReport:
-    """Certify monotonicity, the Young-function sandwich, and dual finiteness."""
+    """Certify monotonicity, the Young-function sandwich, and dual finiteness.
+
+    When Psi has a Young function N, the report also carries the closed-form
+    doubling constants of N and N* as ``delta2_N`` and ``delta2_Nstar``.
+    """
     if spec.mode != "A1":
         raise ValueError("check_A1 requires a mode-A1 spec")
     ts = _t_samples(spec)
@@ -484,6 +488,7 @@ def check_A1(spec: DriftSpec) -> ConditionReport:
     if young is not None:
         c_emp, f_emp, raw = _sandwich(spec, young, ts)
         constants.update(c=c_emp, f=f_emp)
+        constants["delta2_N"], constants["delta2_Nstar"] = young.delta2_constants()
         margins["psi2_raw"] = raw
         margins["psi3"] = 0.0  # c_emp is defined as the binding ratio
         dual = young_dual(young)
@@ -507,7 +512,11 @@ def check_A1(spec: DriftSpec) -> ConditionReport:
 
 
 def check_A2(spec: DriftSpec, dom: SpectralDomain) -> ConditionReport:
-    """Certify the quantified monotonicity and perturbation budget of mode A2."""
+    """Certify the quantified monotonicity and perturbation budget of mode A2.
+
+    Like check_A1, the report carries the doubling constants ``delta2_N`` and
+    ``delta2_Nstar`` of the Young function and its dual.
+    """
     if spec.mode != "A2":
         raise ValueError("check_A2 requires a mode-A2 spec")
     ts = _t_samples(spec)
@@ -536,6 +545,7 @@ def check_A2(spec: DriftSpec, dom: SpectralDomain) -> ConditionReport:
     young = spec.psi.young()
     c_emp, f_emp, raw = _sandwich(spec, young, ts)
     constants = {"c": c_emp, "f": f_emp}
+    constants["delta2_N"], constants["delta2_Nstar"] = young.delta2_constants()
     for idx, (d, r) in enumerate(deltas, start=1):
         constants[f"delta_{idx}"] = d
     margins = {"psi1_prime": mono_margin, "psi2_prime_raw": raw}

@@ -1,6 +1,8 @@
 """End-to-end tests of the experiment runner."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +101,19 @@ def test_no_seed_anywhere_is_config_error(tmp_path, monkeypatch, capsys):
     assert "run.master_seed" in capsys.readouterr().err
 
 
+def test_import_loads_no_heavy_scipy_subpackage():
+    # The CLI needs only scipy.linalg; the larger subpackages add import time
+    # and memory to every run, so no module on the import path may pull them in.
+    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.special"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, spme.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_check_conditions_pass_and_fail(tmp_path, capsys):
     good = _write_config(tmp_path, name="good.json",
                          drift={"mode": "A1", "psi": {"terms": [[1.0, 2.0]]}})
@@ -132,6 +147,9 @@ def test_check_conditions_A2_writes_the_closed_form_budget(tmp_path, capsys):
     assert row["report"] == "A2"
     assert row["const_linv_op_norm_p2"] == format(1.0 / lam1, ".17g")
     assert row["const_eps_implied"] == format(1.0 / lam1, ".17g")
+    # N = s^2 + s^4 doubles with 2^4 and its dual with 2^(2/(2-1))
+    assert row["const_delta2_N"] == "16"
+    assert row["const_delta2_Nstar"] == "4"
 
 
 def test_check_conditions_A2_computes_each_certificate_once(tmp_path, monkeypatch):

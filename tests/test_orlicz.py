@@ -1,23 +1,16 @@
-"""Tests for Young functions, duals, Delta_2 certificates, Luxemburg norms."""
+"""Tests for Young functions, duals, closed-form Delta_2 constants, Luxemburg norms."""
 import math
 
 import numpy as np
 import pytest
 
 from spme.orlicz import (
-    Delta2ViolationError,
     DiscreteMeasure,
-    DualYoung,
     LogPowerYoung,
     PowerSumYoung,
-    TableRangeError,
-    TableYoung,
     YoungFunctionError,
-    delta2_constant,
-    delta2_exponent,
     dual_eval,
     luxemburg_norm,
-    validate_young,
     young_dual,
 )
 
@@ -66,10 +59,31 @@ def test_eval_vectorised_and_even():
     np.testing.assert_allclose(N(s), N(-s), rtol=0, atol=0)
 
 
+def assert_young(young):
+    """Check the defining Young-function properties on a log-spaced grid.
+
+    121 points over [1e-6, 1e6]: N(0) = 0, evenness, strict monotonicity,
+    midpoint convexity, N(s)/s nondecreasing, and N(s)/s falling off toward 0
+    and growing toward infinity across the grid.
+    """
+    s_grid = np.geomspace(1e-6, 1e6, 121)
+    vals = np.asarray(young(s_grid), dtype=float)
+    assert abs(float(np.asarray(young(0.0)))) <= 1e-300
+    np.testing.assert_allclose(np.asarray(young(-s_grid), dtype=float), vals,
+                               rtol=1e-12, atol=0.0)
+    assert np.all(np.diff(vals) > 0)
+    mids = np.asarray(young(0.5 * (s_grid[:-1] + s_grid[1:])), dtype=float)
+    assert np.all(mids <= 0.5 * (vals[:-1] + vals[1:]) * (1 + 1e-9))
+    slope = vals / s_grid
+    assert np.all(np.diff(slope) >= -1e-12 * slope[:-1])
+    assert slope[0] < 0.1 * slope[len(slope) // 2]
+    assert slope[-1] > 10.0 * slope[len(slope) // 2]
+
+
 def test_validate_young_families():
-    validate_young(PowerSumYoung((1.0,), (2.0,)))
-    validate_young(PowerSumYoung((1.0, 0.3), (1.5, 4.0)))
-    validate_young(LogPowerYoung(2.0, 1.0))
+    assert_young(PowerSumYoung((1.0,), (2.0,)))
+    assert_young(PowerSumYoung((1.0, 0.3), (1.5, 4.0)))
+    assert_young(LogPowerYoung(2.0, 1.0))
 
 
 def test_bad_parameters_rejected():
@@ -81,17 +95,6 @@ def test_bad_parameters_rejected():
         LogPowerYoung(1.0, 1.0)
     with pytest.raises(YoungFunctionError):
         LogPowerYoung(2.0, 0.5)
-
-
-def test_table_young_basics():
-    s = np.linspace(0.0, 4.0, 81)
-    T = TableYoung(s, s**2)
-    assert T(2.0) == pytest.approx(4.0, rel=1e-10)
-    assert T(-2.0) == pytest.approx(4.0, rel=1e-10)
-    with pytest.raises(TableRangeError):
-        T(4.5)
-    with pytest.raises(YoungFunctionError):
-        TableYoung(s, np.sqrt(s))  # concave table rejected
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +141,8 @@ def test_dual_log_power_matches_oracle():
 
 
 def test_dual_is_young_function():
-    validate_young(young_dual(PowerSumYoung((1.0,), (2.0,))))
-    validate_young(young_dual(PowerSumYoung((1.0, 0.5), (2.0, 3.0))))
+    assert_young(young_dual(PowerSumYoung((1.0,), (2.0,))))
+    assert_young(young_dual(PowerSumYoung((1.0, 0.5), (2.0, 3.0))))
 
 
 def test_dual_round_trip_single_power():
@@ -181,42 +184,42 @@ def test_dual_doubling_bound():
 # ---------------------------------------------------------------------------
 
 
+def assert_doubling(N, exact):
+    """N(2s) <= C_N N(s) and N*(2t) <= C_N* N*(t) on a log grid, tight if exact."""
+    c_n, c_nstar = N.delta2_constants()
+    s = np.geomspace(1e-3, 1e3, 61)
+    n_ratio = np.asarray(N(2.0 * s)) / np.asarray(N(s))
+    dual_ratio = np.asarray(dual_eval(N, 2.0 * s)) / np.asarray(dual_eval(N, s))
+    for ratio, c in ((n_ratio, c_n), (dual_ratio, c_nstar)):
+        assert np.all(ratio <= c * (1 + 1e-9))
+        if exact:
+            np.testing.assert_allclose(ratio, c, rtol=1e-12)
+
+
 def test_delta2_square():
     N = PowerSumYoung((1.0,), (2.0,))
-    assert delta2_constant(N) == 4.0
-    q = delta2_exponent(N)
-    assert q == pytest.approx(4.0, rel=1e-12)
-    # spot-check the certified inequality N(r s) <= r^q (N(s) + 2)
-    r = np.geomspace(2.0, 1024.0, 11)[:, None]
-    s = np.geomspace(1e-3, 1e3, 13)[None, :]
-    assert np.all(np.asarray(N(r * s)) <= r**q * (np.asarray(N(s)) + 2.0) * (1 + 1e-12))
+    assert N.delta2_constants() == (4.0, 4.0)
+    assert_doubling(N, exact=True)
 
 
 def test_delta2_fast_diffusion():
     N = PowerSumYoung((1.0,), (1.5,))
-    assert delta2_constant(N) == pytest.approx(2.0**1.5, rel=1e-12)
-    assert delta2_exponent(N) == pytest.approx(3.0, rel=1e-12)
+    assert N.delta2_constants() == pytest.approx((2.0**1.5, 8.0), rel=1e-12)
+    assert_doubling(N, exact=True)
+
+
+def test_delta2_power_sum():
+    # C_N from the top exponent 4, C_N* from the bottom one: 2^(1.5/0.5) = 8
+    N = PowerSumYoung((1.0, 0.3), (1.5, 4.0))
+    assert N.delta2_constants() == (16.0, 8.0)
+    assert_doubling(N, exact=False)
 
 
 def test_delta2_log_power():
-    # certified empirically on the sample grid; construction gives 2(theta+r)
-    N = LogPowerYoung(2.0, 1.0)
-    q = delta2_exponent(N)
-    assert 2.0 < q <= 6.0 + 1e-9
-
-
-def test_delta2_violation_exponential_table():
-    s = np.linspace(0.0, 60.0, 2401)
-    T = TableYoung(s, np.exp(s) - s - 1.0)
-    with pytest.raises(Delta2ViolationError):
-        delta2_exponent(T)
-
-
-def test_delta2_table_power_passes():
-    s = np.linspace(0.0, 2048.0 * 1.1, 9001)
-    T = TableYoung(s, s**2)
-    q = delta2_exponent(T)
-    assert q > 2.0
+    # C_N = 2^(theta+r) since log(1+2s) <= 2 log(1+s); C_N* = 2^(theta/(theta-1))
+    N = LogPowerYoung(2.0, 1.0, coeff=0.5)
+    assert N.delta2_constants() == (8.0, 4.0)
+    assert_doubling(N, exact=False)
 
 
 # ---------------------------------------------------------------------------
