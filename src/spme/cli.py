@@ -11,6 +11,7 @@ message names the path and the step).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -39,12 +40,13 @@ from .galerkin import (
     simulate,
     write_csv,
 )
-from .noise import NoiseSpec, RhoFactor
+from .noise import NoiseSpec, RhoFactor, power_decay_sigma
 from .triple import Field, SpectralDomain, h_norm
 from .verify import (
     contraction_test,
     energy_estimate,
     ergodicity_test,
+    extinction_time,
     is_linear_additive,
     ito_refinement_study,
     ou_oracle,
@@ -194,8 +196,8 @@ def _build_noise(cfg: dict) -> NoiseSpec:
     if mult is not None:
         mult = _wrap_build("noise.mult", RhoFactor, **_read(
             mult, "noise.mult", rho_min="float", rho_max="float"))
-    k = np.arange(1, v["n_modes"] + 1, dtype=float)
-    return NoiseSpec(sigma=tuple(v["sigma0"] * k**-v["decay"]), mult=mult)
+    additive = power_decay_sigma(v["n_modes"], v["sigma0"], v["decay"])
+    return dataclasses.replace(additive, mult=mult)
 
 
 def _build_stepper(cfg: dict) -> StepperConfig:
@@ -433,13 +435,9 @@ def _cmd_extinction(cfg, dom, drift, noise, stepper, seed, out):
     hn = np.array([h_norm(dom, s) for s in traj.states])
     write_csv(out / "extinction.csv", ["t", "sup_abs", "h_norm"],
               np.column_stack([traj.times, sup, hn]).tolist())
-    # extinction_time's test on the sup column: each state is synthesized once.
-    below = np.flatnonzero(sup < eps)
-    te = float(traj.times[below[0]]) if below.size else None
+    te = extinction_time(traj, eps)
     ok = (te is not None) if expect == "extinct" else (te is None)
-    decay_ok = True
-    if strict:
-        decay_ok = bool(np.all(np.diff(hn) < 0.0))
+    decay_ok = not strict or bool(np.all(np.diff(hn) < 0.0))
     status = "PASS" if (ok and decay_ok) else "FAIL"
     te_text = "none" if te is None else f"{te:.6g}"
     extra = "" if not strict else f", H-norm strictly decreasing: {decay_ok}"

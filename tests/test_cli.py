@@ -141,15 +141,46 @@ def test_check_conditions_A2_writes_the_closed_form_budget(tmp_path, capsys):
     assert _run("check-conditions", "--config", cfg, "--out", tmp_path / "out") == 0
     out = capsys.readouterr().out
     assert "PASS A2" in out and "PASS H" in out
-    header, a2_row, _ = (tmp_path / "out" / "conditions.csv").read_text().splitlines()
+    header, a2_row, h_row = (tmp_path / "out" / "conditions.csv").read_text().splitlines()
+    assert header == (
+        "report,const_c,const_c1,const_c2,const_c3,const_c_emp_h2,const_c_h2,const_c_psi3,"
+        "const_delta2_N,const_delta2_Nstar,const_delta_1,const_delta_2,const_eps,"
+        "const_eps_implied,const_f,const_f_h3,const_g_h4,const_hs0_sq,const_linv_op_norm_p2,"
+        "const_linv_op_norm_p4,const_m_E,const_sup_h,margin_h1,margin_h2,margin_h3,margin_h4,"
+        "margin_phi1,margin_phi2,margin_psi1_prime,n_failures,n_samples,passed")
     row = dict(zip(header.split(","), a2_row.split(",")))
+    h = dict(zip(header.split(","), h_row.split(",")))
     lam1 = cli._build_domain(json.loads(cfg.read_text())).lam[0]
-    assert row["report"] == "A2"
+    assert row["report"] == "A2" and h["report"] == "H"
+    assert row["const_c"] == h["const_c_psi3"] == "1"
     assert row["const_linv_op_norm_p2"] == format(1.0 / lam1, ".17g")
     assert row["const_eps_implied"] == format(1.0 / lam1, ".17g")
     # N = s^2 + s^4 doubles with 2^4 and its dual with 2^(2/(2-1))
     assert row["const_delta2_N"] == "16"
     assert row["const_delta2_Nstar"] == "4"
+
+
+def test_check_conditions_A1_modulated_states_one_sandwich_constant(tmp_path, capsys):
+    # Psi = a(t) s|s| with a in [0.5, 2]: the A1 report, the H report and
+    # constants.csv all carry c = a_max / a_min = 4, the same bytes.
+    cfg = _write_config(tmp_path, drift={"mode": "A1", "psi": {
+        "terms": [[1.0, 2.0]], "modulation": {"a_min": 0.5, "a_max": 2.0, "period": 1.0}}})
+    assert _run("check-conditions", "--config", cfg, "--out", tmp_path / "out") == 0
+    assert "PASS A1" in capsys.readouterr().out
+    header, a1_row, h_row = (tmp_path / "out" / "conditions.csv").read_text().splitlines()
+    assert header == (
+        "report,const_c,const_c1,const_c2,const_c3,const_c_emp_h2,const_c_h2,const_c_psi3,"
+        "const_delta2_N,const_delta2_Nstar,const_eps,const_f,const_f_h3,const_g_h4,"
+        "const_hs0_sq,const_m_E,const_psi4_dual_at_zero,const_sup_h,margin_h1,margin_h2,"
+        "margin_h3,margin_h4,margin_psi1,n_failures,n_samples,passed")
+    a1 = dict(zip(header.split(","), a1_row.split(",")))
+    h = dict(zip(header.split(","), h_row.split(",")))
+    assert (a1["report"], h["report"]) == ("A1", "H")
+    assert a1["const_c"] == h["const_c_psi3"] == "4"
+    assert a1["const_f"] == a1["const_psi4_dual_at_zero"] == "0"
+    consts = dict(line.split(",") for line in
+                  (tmp_path / "out" / "constants.csv").read_text().splitlines()[1:])
+    assert consts["c_psi3"] == "4"
 
 
 def test_check_conditions_A2_computes_each_certificate_once(tmp_path, monkeypatch):

@@ -7,10 +7,12 @@ import pytest
 from scipy.linalg import solve_banded
 
 from spme.drift import (
+    _S_GRID,
     DriftSpec,
     PhiSpec,
     PsiSpec,
     TimeModulation,
+    _t_samples,
     check_A1,
     check_A2,
     check_H,
@@ -208,6 +210,13 @@ def test_spec_validation():
         DriftSpec(psi=PsiSpec(), phi=PhiSpec(), mode="A1", f_const=-1.0)
 
 
+def test_h_sup_without_h_func_is_rejected():
+    # A constant h is bounded by |h_const|; a declared h_sup would be ignored.
+    with pytest.raises(ValueError, match="h_sup"):
+        PhiSpec(h_const=0.2, h_sup=1.0)
+    assert PhiSpec(h_const=-0.2).sup_h == 0.2
+
+
 # ---------------------------------------------------------------------------
 # Drift assembly
 # ---------------------------------------------------------------------------
@@ -330,8 +339,45 @@ def test_check_A1_modulated_reports_ratio():
                      phi=PhiSpec(), mode="A1")
     rep = check_A1(spec)
     assert rep.passed
-    assert rep.constants["c"] == pytest.approx(4.0, rel=1e-12)  # a_max / a_min
+    assert rep.constants["c"] == 4.0  # a_max / a_min
     assert rep.constants["f"] == 0.0
+
+
+_SANDWICH_FAMILIES = {
+    "power-r2": PsiSpec(terms=((1.0, 2.0),)),
+    "power-r0.5": PsiSpec(terms=((1.0, 0.5),)),
+    "mixed-sum": PsiSpec(terms=((1.0, 1.0), (0.5, 3.0))),
+    "log-power": PsiSpec(log_power=(2.0, 1.0)),
+    "modulated": PsiSpec(terms=((1.0, 2.0),), modulation=TimeModulation(
+        func=lambda t: 1.25 + 0.75 * math.cos(2 * math.pi * t), a_min=0.5, a_max=2.0)),
+    # Period 0.3 does not divide 1, so the sampled times miss the minimum of a(t).
+    "modulated-period-0.3": PsiSpec(terms=((1.0, 1.0), (0.5, 3.0)), modulation=TimeModulation(
+        func=lambda t: 1.3 + 0.6 * math.cos(2 * math.pi * t / 0.3), a_min=0.7, a_max=1.9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SANDWICH_FAMILIES))
+def test_closed_form_sandwich_holds_on_the_grid(name):
+    # The reports state (c, f) = (a_max/a_min, 0) in closed form; check
+    # N(s) <= s Psi(t, s) <= c N(s) and Psi(t, 0) = 0 at the sampled times.
+    psi = _SANDWICH_FAMILIES[name]
+    spec = DriftSpec(psi=psi, phi=PhiSpec(), mode="A1")
+    rep = check_A1(spec)
+    assert rep.passed and rep.constants["f"] == 0.0
+    assert rep.constants["psi4_dual_at_zero"] == 0.0
+    c = rep.constants["c"]
+    n_vals = psi.young()(_S_GRID)
+    for t in _t_samples(spec):
+        sp = _S_GRID * psi_eval(psi, t, _S_GRID)
+        assert np.all(n_vals <= sp * (1 + 1e-12))
+        assert np.all(sp <= c * n_vals * (1 + 1e-12))
+        assert psi_eval(psi, t, 0.0) == 0.0
+    dom, noise = SpectralDomain(16), NoiseSpec(sigma=(0.1,))
+    assert c == declared_constants(dom, spec, noise)["c_psi3"]
+    if psi.log_power is None and min(r for _, r in psi.terms) >= 1.0:
+        spec_a2 = DriftSpec(psi=psi, phi=PhiSpec(), mode="A2")
+        c_a2 = check_A2(spec_a2, dom).constants["c"]
+        assert c_a2 == declared_constants(dom, spec_a2, noise)["c_psi3"] == c
 
 
 def test_check_A1_detects_nonmonotone():
