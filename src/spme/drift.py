@@ -23,14 +23,16 @@ a_min s Psi_0(s); Psi4, N*(Psi(t, 0)) = 0; the doubling constants of N and N*;
 the proven bounds on the L^p norms of ``L^{-1}`` (``linv_op_norm``).  Sampled,
 with worst-case margins: monotonicity and the ``Phi_0`` bound on a fixed scalar
 log grid, and the H conditions on 1000 random field pairs with Gaussian spectral
-decay from a fixed seed; time-dependent specs at 7 points of [0, 1].
+decay from a fixed seed; time-dependent specs at 7 points of [0, 1].  Between
+those points a run guards the modulation itself: ``TimeModulation`` refuses an
+a(t) off its bounds at every time a run evaluates it.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -42,6 +44,8 @@ from .triple import SpectralDomain
 _S_POS = np.geomspace(1e-4, 1e4, 81)
 _S_GRID = np.concatenate([-_S_POS[::-1], [0.0], _S_POS])
 _H_PAIRS = 1000
+#: Slack of the modulation bounds: a(t) may exceed [a_min, a_max] by this much.
+_A_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +55,12 @@ _H_PAIRS = 1000
 
 @dataclass(frozen=True)
 class TimeModulation:
-    """Bounded positive time factor a(t) with declared bounds 0 < a_min <= a_max."""
+    """Bounded positive time factor a(t) with declared bounds 0 < a_min <= a_max.
+
+    Calling it raises ``ValueError`` where a(t) is not finite or leaves the
+    bounds, so no run evaluates Psi off them: the closed-form sandwich
+    constant a_max/a_min holds at every time a run reaches.
+    """
 
     func: Callable[[float], float]
     a_min: float
@@ -60,6 +69,17 @@ class TimeModulation:
     def __post_init__(self):
         if not (0.0 < self.a_min <= self.a_max) or not math.isfinite(self.a_max):
             raise ValueError("need 0 < a_min <= a_max < inf")
+
+    def __call__(self, t: float) -> float:
+        a_t = float(self.func(t))
+        if not (self.a_min - _A_SLACK <= a_t <= self.a_max + _A_SLACK):
+            raise ValueError(f"modulation a(t) = {a_t!r} at t = {float(t)!r} lies outside "
+                             f"its bounds [{self.a_min!r}, {self.a_max!r}]")
+        return a_t
+
+
+class _SampledModulation(TimeModulation):
+    """a(t) as ``func`` gives it, off the bounds too, for the checkers to report."""
 
     def __call__(self, t: float) -> float:
         return float(self.func(t))
@@ -408,12 +428,19 @@ def _t_samples(spec: DriftSpec) -> np.ndarray:
     return np.array([0.0])
 
 
-def _modulation_within_bounds(spec: DriftSpec, ts, failures) -> None:
+def _modulation_within_bounds(spec: DriftSpec, ts, failures) -> DriftSpec:
+    """Record a(t) and h_t off their bounds at the times ts; return spec to sample.
+
+    The returned spec reads a(t) unchecked, so a checker evaluates a
+    modulation that leaves its bounds and reports it where a run refuses it.
+    """
     mod = spec.psi.modulation
     if mod is not None:
+        mod = _SampledModulation(mod.func, mod.a_min, mod.a_max)
+        spec = replace(spec, psi=replace(spec.psi, modulation=mod))
         for t in ts:
             a_t = mod(t)
-            if not (mod.a_min - 1e-12 <= a_t <= mod.a_max + 1e-12):
+            if not (mod.a_min - _A_SLACK <= a_t <= mod.a_max + _A_SLACK):
                 failures.append(
                     {"condition": "modulation-bounds", "sample": float(t),
                      "lhs": a_t, "rhs": mod.a_max}
@@ -425,6 +452,7 @@ def _modulation_within_bounds(spec: DriftSpec, ts, failures) -> None:
                     {"condition": "h-bound", "sample": float(t),
                      "lhs": abs(spec.phi.h_at(t)), "rhs": spec.phi.sup_h}
                 )
+    return spec
 
 
 def check_A1(spec: DriftSpec) -> ConditionReport:
@@ -437,7 +465,7 @@ def check_A1(spec: DriftSpec) -> ConditionReport:
         raise ValueError("check_A1 requires a mode-A1 spec")
     ts = _t_samples(spec)
     failures: list = []
-    _modulation_within_bounds(spec, ts, failures)
+    spec = _modulation_within_bounds(spec, ts, failures)
 
     s1, s2 = _pair_samples()
     mono_margin = math.inf
@@ -490,7 +518,7 @@ def check_A2(spec: DriftSpec, dom: SpectralDomain) -> ConditionReport:
         raise ValueError("check_A2 requires a mode-A2 spec")
     ts = _t_samples(spec)
     failures: list = []
-    _modulation_within_bounds(spec, ts, failures)
+    spec = _modulation_within_bounds(spec, ts, failures)
 
     deltas = monotonicity_constants(spec.psi)
     s1, s2 = _pair_samples()
@@ -637,7 +665,7 @@ def check_H(dom: SpectralDomain, spec: DriftSpec, noise: NoiseSpec,
     if declared is None:
         declared = declared_constants(dom, spec, noise)
     failures: list = []
-    _modulation_within_bounds(spec, ts, failures)
+    spec = _modulation_within_bounds(spec, ts, failures)
 
     UV = np.stack([_random_fields(dom, rng, _H_PAIRS), _random_fields(dom, rng, _H_PAIRS)])
     values = dom.from_spectral(UV)

@@ -21,6 +21,9 @@ its own ``simulate`` run up to rounding.
 from __future__ import annotations
 
 import math
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +42,9 @@ SCHEMES = ("explicit", "semi-implicit")
 _JACOBIAN_FLOOR = 1e-8
 
 #: Byte budget of one time block of ensemble increments: a batch of P paths
-#: draws max(1, _BLOCK_BYTES // (8 * P * n_modes)) steps at a time.
-_BLOCK_BYTES = 1 << 24
+#: draws max(1, _BLOCK_BYTES // (8 * P * n_modes)) steps at a time, into one
+#: of two blocks, so a batch holds at most two blocks.
+_BLOCK_BYTES = 1 << 23
 
 
 class BlowUpError(RuntimeError):
@@ -601,19 +605,48 @@ def _increment_steps(noise: NoiseSpec, config: StepperConfig, master_seed: int,
     """Yield each step's increments of paths first..first+P-1, shape (P, n_modes).
 
     Every path keeps its own stream, continued one time block at a time, so
-    the numbers are those of a whole-path draw.  A block holds at most
-    ``_BLOCK_BYTES`` as (steps, P, n_modes): each step is a contiguous view.
+    the numbers are those of a whole-path draw.  A producer thread draws
+    block k+1, path by path, while the caller steps block k.  The two blocks
+    are path-major (P, width, n_modes) arrays of at most ``_BLOCK_BYTES``
+    each, and step j of a block is the strided view ``block[:, j]``.  An
+    error in the producer is raised here as it is; closing the generator
+    stops and joins the producer.
     """
     n_steps, m = config.n_steps, noise.n_modes
     width = max(1, min(n_steps, _BLOCK_BYTES // (8 * P * m)))
+    starts = range(0, n_steps, width)
     streams = [path_stream(master_seed, p) for p in range(first, first + P)]
-    block = np.empty((width, P, m))
-    for k0 in range(0, n_steps, width):
-        n = min(width, n_steps - k0)
-        for i, rng in enumerate(streams):
-            block[:n, i] = increments_for_path(noise, n, config.dt, master_seed, first + i,
-                                               stream=rng)
-        yield from block[:n]
+    free, full = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(min(2, len(starts))):
+        free.put(np.empty((P, width, m)))
+
+    def produce():
+        try:
+            for k0 in starts:
+                block = free.get()
+                if block is None:  # the caller is done
+                    return
+                n = min(width, n_steps - k0)
+                for i, rng in enumerate(streams):
+                    increments_for_path(noise, n, config.dt, master_seed, first + i,
+                                        stream=rng, out=block[i, :n])
+                full.put((block, n))
+        except BaseException as exc:  # any kind: the caller must not wait forever
+            full.put(exc)
+
+    producer = threading.Thread(target=produce, daemon=True)
+    producer.start()
+    try:
+        for _ in starts:
+            item = full.get()
+            if isinstance(item, BaseException):
+                raise item
+            block, n = item
+            yield from block.swapaxes(0, 1)[:n]
+            free.put(block)
+    finally:
+        free.put(None)  # stops a producer that has blocks left to draw
+        producer.join()
 
 
 def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
@@ -626,10 +659,12 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     paths below its X paths on the same increments.  The default batch is
     the size past which the cost per path-step stops falling.  Increments are
     drawn in time blocks and each save time is reduced as the loop reaches
-    it, so memory is O(chunk * n_grid) plus one block (``_BLOCK_BYTES``),
-    whatever the number of steps.  Batch moments are combined with the
-    parallel mean/M2 merge.  The result is bitwise reproducible for a fixed
-    chunk; other chunkings agree up to rounding (see the module docstring).
+    it, so memory is O(chunk * n_grid) plus two blocks (``_BLOCK_BYTES``
+    each), whatever the number of steps.  Each batch's blocks are drawn on a
+    producer thread, which is joined before this returns or raises.  Batch
+    moments are combined with the parallel mean/M2 merge.  The result is
+    bitwise reproducible for a fixed chunk; other chunkings agree up to
+    rounding (see the module docstring).
     A non-finite moment of finite states (overflow in the reduction) raises
     ``BlowUpError`` at the first save step where it occurs.
     """
@@ -655,21 +690,21 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, ensemble_size, chunk):
             P = min(chunk, ensemble_size - start)
+            plan = _StepPlan(config, dom, drift, noise)
             cums = {n: np.zeros(P) for n in names if n.startswith("int_")}
             mean, M2 = np.empty((S, K)), np.empty((S, K))
-            for k, t, Z, _ in _time_loop(_StepPlan(config, dom, drift, noise),
-                                         np.repeat(starts, P, axis=0),
-                                         _increment_steps(noise, config, master_seed, start, P),
-                                         start):
-                obs = _Observables(dom, drift, t, Z[:P], Z[P:] if Y0 is not None else None)
-                if k in save_set:
-                    x = np.stack([cums[n] if n in cums else obs[n] for n in names], axis=-1)
-                    i = save_set[k]
-                    mean[i] = x.mean(axis=0)
-                    M2[i] = np.sum((x - mean[i]) ** 2, axis=0)
-                if k < n_steps:
-                    for n in cums:  # left-endpoint rule, matching the step scheme
-                        cums[n] += config.dt * obs[n[4:]]
+            with closing(_increment_steps(noise, config, master_seed, start, P)) as steps:
+                for k, t, Z, _ in _time_loop(plan, np.repeat(starts, P, axis=0), steps, start):
+                    obs = _Observables(dom, drift, t, Z[:P], Z[P:] if Y0 is not None else None)
+                    if k in save_set:
+                        x = np.stack([cums[n] if n in cums else obs[n] for n in names],
+                                     axis=-1)
+                        i = save_set[k]
+                        mean[i] = x.mean(axis=0)
+                        M2[i] = np.sum((x - mean[i]) ** 2, axis=0)
+                    if k < n_steps:
+                        for n in cums:  # left-endpoint rule, matching the step scheme
+                            cums[n] += config.dt * obs[n[4:]]
             total_n, total_mean, total_M2 = _merge_moments(
                 total_n, total_mean, total_M2, P, mean, M2)
             finite = np.isfinite(total_mean).all(axis=-1) & np.isfinite(total_M2).all(axis=-1)

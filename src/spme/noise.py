@@ -9,11 +9,12 @@ Lipschitz scalar factor (``rho = 1`` gives additive noise).  Since the modes
 Randomness policy: every path owns a child stream derived from
 ``SeedSequence([master_seed, path_idx])``, so ensembles are reproducible no
 matter how paths are scheduled or how the time axis is chunked.  Ensembles
-continue each path's stream one time block at a time, so their increment
-memory is one block, not paths x steps.  Refining a
-path to step ``dt/2`` uses a Brownian-bridge split whose midpoint draws come
-from a separate stream keyed by the refinement level; the two half-step
-increments always sum back to the coarse increment.
+continue each path's stream one time block at a time, written in place
+into one of two path-major blocks that a producer thread fills while the
+other is stepped, so their increment memory is two blocks, not paths x
+steps.  Refining a path to step ``dt/2`` uses a Brownian-bridge split whose
+midpoint draws come from a separate stream keyed by the refinement level;
+the two half-step increments always sum back to the coarse increment.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _bridge_stream(master_seed: int, path_idx: int, level: int) -> np.random.Gen
 
 def increments_for_path(
     spec: NoiseSpec, n_steps: int, dt: float, master_seed: int, path_idx: int,
-    stream: np.random.Generator | None = None,
+    stream: np.random.Generator | None = None, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Increments of one path, shape (n_steps, n_modes), row per step.
 
@@ -118,10 +119,20 @@ def increments_for_path(
     in one call or in sequential row chunks yields identical numbers.  With
     ``stream`` (that path's ``path_stream``) the next ``n_steps`` rows are
     drawn from it; ``monte_carlo`` draws its paths this way, one time block
-    at a time, and never holds a whole path.
+    at a time, and never holds a whole path.  With ``out`` (a C-contiguous
+    float array of that shape) the rows are written there and ``out`` is
+    returned: standard normals scaled by sqrt(dt), plus 0.0, which is the
+    arithmetic of ``normal(0, sqrt(dt))``, so the bits are the same.
     """
     rng = path_stream(master_seed, path_idx) if stream is None else stream
-    return rng.normal(0.0, math.sqrt(dt), size=(n_steps, spec.n_modes))
+    if out is None:
+        return rng.normal(0.0, math.sqrt(dt), size=(n_steps, spec.n_modes))
+    if out.shape != (n_steps, spec.n_modes):
+        raise ValueError("out must have shape (n_steps, n_modes)")
+    rng.standard_normal(out=out)
+    out *= math.sqrt(dt)
+    out += 0.0  # -0.0 becomes +0.0, as in normal's loc + scale * z
+    return out
 
 
 def refine_increments(

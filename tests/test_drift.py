@@ -1,5 +1,6 @@
 """Tests for the nonlinearities, the assembled drift, and condition checkers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from spme.drift import (
     PhiSpec,
     PsiSpec,
     TimeModulation,
+    _SampledModulation,
     _t_samples,
     check_A1,
     check_A2,
@@ -343,6 +345,19 @@ def test_check_A1_modulated_reports_ratio():
     assert rep.constants["f"] == 0.0
 
 
+def test_check_A1_reports_a_modulation_off_its_bounds():
+    # A run refuses a(t) = 3 > a_max; the checker samples it and reports it.
+    mod = TimeModulation(func=lambda t: 3.0, a_min=0.5, a_max=1.0)
+    spec = DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),), modulation=mod), phi=PhiSpec(),
+                     mode="A1")
+    with pytest.raises(ValueError, match="lies outside its bounds"):
+        psi_eval(spec.psi, 0.0, 1.0)
+    rep = check_A1(spec)
+    assert not rep.passed
+    assert [f["sample"] for f in rep.failures if f["condition"] == "modulation-bounds"] \
+        == list(_t_samples(spec))
+
+
 _SANDWICH_FAMILIES = {
     "power-r2": PsiSpec(terms=((1.0, 2.0),)),
     "power-r0.5": PsiSpec(terms=((1.0, 0.5),)),
@@ -579,13 +594,17 @@ def _reference_check_H(dom, spec, noise):
     """check_H as a loop over 1000 Field pairs: the batched pass's reference.
 
     Returns (passed, constants, margins, failures) with each failure as
-    (condition, sample, lhs, rhs).
+    (condition, sample, lhs, rhs).  Like check_H, it evaluates a modulation
+    that leaves its bounds rather than refusing it as a run does.
     """
     rng = np.random.default_rng(0)
     ts = np.linspace(0.0, 1.0, 7) if spec.is_time_dependent else np.array([0.0])
     declared = declared_constants(dom, spec, noise)
     failures = []
     mod = spec.psi.modulation
+    if mod is not None:
+        mod = _SampledModulation(mod.func, mod.a_min, mod.a_max)
+        spec = dataclasses.replace(spec, psi=dataclasses.replace(spec.psi, modulation=mod))
     for t in ts if mod is not None else ():
         if not (mod.a_min - 1e-12 <= mod(t) <= mod.a_max + 1e-12):
             failures.append(("modulation-bounds", float(t), mod(t), mod.a_max))

@@ -1,6 +1,8 @@
 """Tests for the steppers, single-path simulation, and the ensemble driver."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -14,6 +16,7 @@ from spme.drift import (
     PhiSpec,
     PsiSpec,
     TimeModulation,
+    _SampledModulation,
     drift_coeffs,
     psi_eval,
     psi_prime,
@@ -292,6 +295,38 @@ def test_modulation_error_keeps_its_type_and_message(scheme):
     with pytest.raises(ValueError, match="^math domain error$") as err:
         simulate(cfg, dom, drift, ZERO_NOISE, X0, 0)
     assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "semi-implicit"])
+def test_run_refuses_a_modulation_off_its_bounds(scheme):
+    # a(t) = 6 on |t - 0.1| < 0.01, between the times a checker samples: the
+    # step at t = 0.095 raises, naming t and a(t).  An in-bounds modulation
+    # runs with the bits it has when a(t) is read unchecked.
+    dom = SpectralDomain(8)
+    X0 = Field.from_values(dom, 0.1 * np.sin(np.pi * dom.x))
+    cfg = StepperConfig(dt=0.005, T=0.2, n_modes=8, scheme=scheme)
+
+    def drift(mod):
+        return DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),), modulation=mod), phi=PhiSpec())
+
+    spike = TimeModulation(func=lambda t: 1.0 + 5.0 * (abs(t - 0.1) < 0.01),
+                           a_min=0.5, a_max=2.0)
+    with pytest.raises(ValueError, match=r"^modulation a\(t\) = 6\.0 at t = 0\.095 "
+                                         r"lies outside its bounds \[0\.5, 2\.0\]$"):
+        simulate(cfg, dom, drift(spike), ZERO_NOISE, X0, 0)
+    nz = NoiseSpec(sigma=(0.1, 0.05))
+    cosine = (lambda t: 1.25 + 0.75 * math.cos(2.0 * math.pi * t), 0.5, 2.0)
+    checked = simulate(cfg, dom, drift(TimeModulation(*cosine)), nz, X0, 3)
+    as_given = simulate(cfg, dom, drift(_SampledModulation(*cosine)), nz, X0, 3)
+    assert checked.coeff_matrix().tobytes() == as_given.coeff_matrix().tobytes()
+
+
+def test_modulation_call_checks_its_bounds():
+    mod = TimeModulation(func=lambda t: t, a_min=0.5, a_max=2.0)
+    assert mod(0.5) == 0.5 and mod(2.0 + 1e-13) == 2.0 + 1e-13
+    for t in (0.4, 2.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lies outside its bounds"):
+            mod(t)
 
 
 def test_convergence_error_names_path_and_step():
@@ -783,6 +818,122 @@ def test_monte_carlo_memory_does_not_grow_with_steps(monkeypatch):
             tracemalloc.stop()
 
     assert peak(6000) - peak(1500) < galerkin._BLOCK_BYTES
+
+
+def test_monte_carlo_holds_at_most_two_increment_blocks(monkeypatch):
+    # Ten blocks of 64 steps (32 KiB each) against one step: the run may add
+    # its two blocks and a few batch-sized state arrays, not a third block.
+    dom = SpectralDomain(8)
+    nz = NoiseSpec(sigma=(0.1,) * 8)
+    P = 8
+    monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 64 * P * 8 * 8)
+
+    def peak(n_steps):
+        cfg = StepperConfig(dt=1e-4, T=n_steps * 1e-4, n_modes=8)
+        tracemalloc.start()
+        try:
+            monte_carlo(cfg, dom, LINEAR, nz, Field.zero(dom), 0, P, ("h_norm_sq",),
+                        save_every=n_steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    states = 8 * P * dom.n_grid * 8
+    assert peak(640) - peak(1) <= 2 * galerkin._BLOCK_BYTES + states
+
+
+def _fail_at_step(monkeypatch, k_fail, error):
+    """Make step k_fail (0-based) raise ``error``, or leave a NaN state for BlowUpError."""
+    step = _StepPlan.step
+
+    def failing(self, t, C, dW, records=False):
+        if round(t / self.config.dt) == k_fail:
+            if error is BlowUpError:
+                return np.full_like(C, np.nan), None
+            raise error("injected") if error is StabilityError else error("injected", path=0)
+        return step(self, t, C, dW, records)
+
+    monkeypatch.setattr(_StepPlan, "step", failing)
+
+
+@pytest.mark.parametrize("error", [None, BlowUpError, ConvergenceError, StabilityError])
+def test_monte_carlo_joins_its_producer_on_every_exit(monkeypatch, error):
+    # Blocks of 4 steps: the 20-step batch draws 5 blocks, and the failing
+    # step 14 lies in the fourth.  The producer is gone once the call leaves,
+    # even while the exception (and its traceback) is still held.
+    dom, _, X0, cfg = _small_setup()
+    cfg = StepperConfig(dt=cfg.dt, T=20 * cfg.dt, n_modes=cfg.n_modes)
+    nz, P = NoiseSpec(sigma=(0.1, 0.05)), 3
+    ref = monte_carlo(cfg, dom, LINEAR, nz, X0, 5, P, ("h_norm_sq",))
+    monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 4 * P * 2 * 8)
+    calls = _count_calls(monkeypatch, ("increments_for_path",))
+    before = threading.active_count()
+    if error is None:
+        st = monte_carlo(cfg, dom, LINEAR, nz, X0, 5, P, ("h_norm_sq",))
+        assert calls["increments_for_path"] == 5 * P
+        assert st.mean.tobytes() == ref.mean.tobytes()
+        assert threading.active_count() == before
+        return
+    _fail_at_step(monkeypatch, 13, error)
+    with pytest.raises(error) as info:
+        monte_carlo(cfg, dom, LINEAR, nz, X0, 5, P, ("h_norm_sq",))
+    assert info.value.step == 14
+    assert calls["increments_for_path"] >= 4 * P
+    assert threading.active_count() == before
+
+
+def test_concurrent_ensembles_keep_their_bits_under_fast_switching(monkeypatch):
+    # Three ensembles at once, each with its producer (six threads on fewer
+    # cores), switching threads every microsecond: a block handed over
+    # before it is drawn, or drawn over while it is stepped, changes the bits.
+    dom, nz, X0, cfg = _small_setup()
+    P = 3
+    monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 4 * P * nz.n_modes * 8)
+
+    def run(seed):
+        return monte_carlo(cfg, dom, LINEAR, nz, X0, seed, P, ("h_norm_sq", "mode_1"))
+
+    refs = {seed: run(seed) for seed in range(3)}
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda s=s: got.__setitem__(s, run(s)))
+                   for s in refs]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for seed, ref in refs.items():
+        assert got[seed].mean.tobytes() == ref.mean.tobytes()
+        assert got[seed].var.tobytes() == ref.var.tobytes()
+
+
+def test_monte_carlo_raises_the_producers_own_exception(monkeypatch):
+    # The seventh draw is path 0 of the third block; the caller gets that
+    # very exception object, and no producer thread is left behind.
+    dom, nz, X0, cfg = _small_setup()
+    P = 3
+    monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 4 * P * nz.n_modes * 8)
+    draw, calls, raised = galerkin.increments_for_path, [], []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 7:
+            raised.append(RuntimeError("draw failed"))
+            raise raised[0]
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(galerkin, "increments_for_path", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        monte_carlo(cfg, dom, LINEAR, nz, X0, 5, P, ("h_norm_sq",))
+    assert info.value is raised[0]
+    assert len(calls) == 7
+    assert threading.active_count() == before
 
 
 def test_monte_carlo_evaluates_each_observable_once_per_step(monkeypatch):

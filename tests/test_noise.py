@@ -211,6 +211,27 @@ def test_increments_continue_a_given_stream():
     assert np.array_equal(np.vstack(blocks), increments_for_path(spec, 100, 0.01, 42, 7))
 
 
+@pytest.mark.parametrize("dt", [0.01, 0.0])
+def test_increments_written_into_out_are_the_allocated_ones(dt):
+    # Whole, and in sequential chunks of one stream, as a path-major block is
+    # filled; dt = 0 turns every negative draw into -0.0 * 0 + 0.0 = +0.0.
+    spec = NoiseSpec(sigma=(1.0, 2.0))
+    ref = increments_for_path(spec, 100, dt, 42, 7)
+    buf = np.full((100, 2), np.nan)
+    got = increments_for_path(spec, 100, dt, 42, 7, out=buf)
+    assert got is buf and buf.tobytes() == ref.tobytes()
+    rng, block = path_stream(42, 7), np.full((3, 100, 2), np.nan)
+    k0 = 0
+    for n in (1, 59, 40):
+        out = block[1, k0:k0 + n]
+        assert increments_for_path(spec, n, dt, 42, 7, stream=rng, out=out) is out
+        k0 += n
+    assert block[1].tobytes() == ref.tobytes()
+    assert np.isnan(block[[0, 2]]).all()
+    with pytest.raises(ValueError, match="out must have shape"):
+        increments_for_path(spec, 99, dt, 42, 7, out=buf)
+
+
 def test_refinement_sums_back_exactly():
     spec = NoiseSpec(sigma=(1.0, 1.0, 1.0))
     dt = 2e-3

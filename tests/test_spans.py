@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` rebinds module globals and methods of ``src/spme`` to
 time them; a rename in ``src`` makes ``Tracer()`` raise, and a call path that
 bypasses a wrapper makes ``layer_metrics`` raise.  This runs both checks on a
-short ``simulate_pair`` and a short paired ``monte_carlo``.
+short ``simulate_pair`` and a short paired ``monte_carlo``, and counts the
+draws that an ensemble makes on its producer thread.
 """
 
 import importlib.util
@@ -56,3 +57,28 @@ def test_tracer_hits_every_span_of_the_paired_runs(monkeypatch):
     metrics, _ = tracer.layer_metrics(wall, HIT)
     assert metrics["noise.increments.calls"] == 1 + 4
     assert metrics["galerkin.newton.iters"] > 0
+
+
+def test_tracer_counts_the_draws_of_the_producer_thread(monkeypatch):
+    # An unpaired ensemble of 4 paths in blocks of 8 steps: 40 steps make 5
+    # blocks, each path drawn once per block on the producer thread.
+    spans = _load_spans(monkeypatch)
+    monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 8 * 4 * 2 * 8)
+    dom = SpectralDomain(8)
+    nz = NoiseSpec(sigma=(0.2, 0.1))
+    X0 = Field.from_values(dom, 0.5 * np.sin(np.pi * dom.x))
+    cfg = galerkin.StepperConfig(dt=1e-3, T=0.04, n_modes=8)
+    linear = DriftSpec(psi=PsiSpec(terms=((1.0, 1.0),)), phi=PhiSpec(), mode="A1")
+
+    tracer = spans.Tracer()
+    start = time.perf_counter()
+    tracer.install()
+    try:
+        galerkin.monte_carlo(cfg, dom, linear, nz, X0, 3, 4, ("h_norm_sq",))
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracer.layer_metrics(time.perf_counter() - start,
+                                      ("triple.transform", "noise.increments",
+                                       "drift.drift_coeffs", "galerkin.monte_carlo"))
+    assert metrics["noise.increments.calls"] == 4 * 5
+    assert metrics["noise.increments.bytes"] == 4 * 40 * 2 * 8
