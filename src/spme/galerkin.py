@@ -21,8 +21,7 @@ its own ``simulate`` run up to rounding.
 from __future__ import annotations
 
 import math
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -233,7 +232,8 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The same finiteness check, errors and LAPACK ``gtsv`` call (a 1x1 system
     is divided out), so the solution is bitwise scipy's.  The finiteness
-    error is a ``ValueError`` of its own type, so a step can tell it apart.
+    error is a ``ValueError`` of its own type, so the Newton loop can tell
+    it apart.
     """
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise _NonFiniteSystem("array must not contain infs or NaNs")
@@ -259,13 +259,18 @@ def _newton_implicit(dom, psi, t, b, dt, tol, max_iter):
     one-row solve.  The active rows' tridiagonal Jacobians go into one
     block-diagonal banded solve per iteration (zero coupling entries).
     Residual tests are written ``~(r <= bound)`` so a NaN residual never
-    counts as converged or accepted.
+    counts as converged or accepted.  A row that overflowed (an inf or a NaN
+    in its Jacobian or residual, which the banded solve refuses) comes back
+    NaN, for the time loop to report as a blow-up; the iteration is taken
+    again for the other rows, and not counted, so each keeps the budget of
+    its own solve.
     """
     h, gamma = dom.h, dt / dom.h**2
     u = b.copy()
     res, rnorm = _implicit_residual(psi, t, u, b, dt, h)
     r_best = rnorm.copy()
-    for it in range(max_iter + 1):
+    it = 0
+    while True:
         act = (~(rnorm <= tol)).nonzero()[0]
         if act.size == 0:
             return u
@@ -282,7 +287,13 @@ def _newton_implicit(dom, psi, t, b, dt, tol, max_iter):
         ab[0, :, 0] = ab[2, :, -1] = 0.0  # no coupling between rows
         np.multiply(pp, 2.0 * gamma, out=ab[1])
         ab[1] += 1.0
-        du = solve_banded(ab.reshape(3, k * n), -ra.ravel()).reshape(k, n)
+        try:
+            du = solve_banded(ab.reshape(3, k * n), -ra.ravel()).reshape(k, n)
+        except _NonFiniteSystem:
+            bad = act[~(np.isfinite(ab).all(axis=(0, 2)) & np.isfinite(ra).all(axis=-1))]
+            u[bad], rnorm[bad] = np.nan, 0.0  # NaN, and out of the active set
+            continue
+        it += 1
         u_try = ua + du
         res_try, r_try = _implicit_residual(psi, t, u_try, ba, dt, h)
         # Rows still backtracking all share the halved step, down to 1/128.
@@ -362,32 +373,12 @@ class _StepPlan:
             rhs += phi0_eval(drift.phi, values) if self.phi0 else 0.0
             b = values + dt * rhs
             b += dom.from_spectral(noise_c)
-            try:
-                U = _newton_implicit(dom, drift.psi, t, b, dt, config.implicit_tol,
-                                     config.implicit_max_iter)
-            except _NonFiniteSystem:  # a row overflowed
-                U = self._rows_alone(t, b)
+            U = _newton_implicit(dom, drift.psi, t, b, dt, config.implicit_tol,
+                                 config.implicit_max_iter)
             new = dom.to_spectral(U)
             new[:, m:] = 0.0
             A = drift_coeffs(dom, drift, t, values, C) if records else None
         return new, ((A, np.broadcast_to(z, (len(C), noise.n_modes))) if records else None)
-
-    def _rows_alone(self, t, b):
-        """Solve the rows of b one at a time, a row that overflowed as NaN.
-
-        The time loop reports the first NaN row as the blow-up of its path.
-        """
-        config, U = self.config, np.full_like(b, np.nan)
-        for i in range(len(b)):
-            try:
-                U[i] = _newton_implicit(self.dom, self.drift.psi, t, b[i:i + 1], config.dt,
-                                        config.implicit_tol, config.implicit_max_iter)[0]
-            except ConvergenceError as err:
-                err.path = i
-                raise
-            except _NonFiniteSystem:
-                pass
-        return U
 
 
 def _initial_rows(config: StepperConfig, dom: SpectralDomain, noise: NoiseSpec,
@@ -605,48 +596,33 @@ def _increment_steps(noise: NoiseSpec, config: StepperConfig, master_seed: int,
     """Yield each step's increments of paths first..first+P-1, shape (P, n_modes).
 
     Every path keeps its own stream, continued one time block at a time, so
-    the numbers are those of a whole-path draw.  A producer thread draws
+    the numbers are those of a whole-path draw.  One worker thread draws
     block k+1, path by path, while the caller steps block k.  The two blocks
     are path-major (P, width, n_modes) arrays of at most ``_BLOCK_BYTES``
     each, and step j of a block is the strided view ``block[:, j]``.  An
-    error in the producer is raised here as it is; closing the generator
-    stops and joins the producer.
+    error in a draw is raised here as it is; returning, raising or closing
+    the generator joins the worker.
     """
     n_steps, m = config.n_steps, noise.n_modes
     width = max(1, min(n_steps, _BLOCK_BYTES // (8 * P * m)))
     starts = range(0, n_steps, width)
     streams = [path_stream(master_seed, p) for p in range(first, first + P)]
-    free, full = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(min(2, len(starts))):
-        free.put(np.empty((P, width, m)))
+    blocks = [np.empty((P, width, m)) for _ in range(min(2, len(starts)))]
 
-    def produce():
-        try:
-            for k0 in starts:
-                block = free.get()
-                if block is None:  # the caller is done
-                    return
-                n = min(width, n_steps - k0)
-                for i, rng in enumerate(streams):
-                    increments_for_path(noise, n, config.dt, master_seed, first + i,
-                                        stream=rng, out=block[i, :n])
-                full.put((block, n))
-        except BaseException as exc:  # any kind: the caller must not wait forever
-            full.put(exc)
+    def draw(j):
+        block, n = blocks[j % 2], min(width, n_steps - starts[j])
+        for i, rng in enumerate(streams):
+            increments_for_path(noise, n, config.dt, master_seed, first + i,
+                                stream=rng, out=block[i, :n])
+        return block[:, :n]
 
-    producer = threading.Thread(target=produce, daemon=True)
-    producer.start()
-    try:
-        for _ in starts:
-            item = full.get()
-            if isinstance(item, BaseException):
-                raise item
-            block, n = item
-            yield from block.swapaxes(0, 1)[:n]
-            free.put(block)
-    finally:
-        free.put(None)  # stops a producer that has blocks left to draw
-        producer.join()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        drawn = worker.submit(draw, 0)
+        for j in range(len(starts)):
+            block = drawn.result()
+            if j + 1 < len(starts):
+                drawn = worker.submit(draw, j + 1)
+            yield from block.swapaxes(0, 1)
 
 
 def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
@@ -661,7 +637,7 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     drawn in time blocks and each save time is reduced as the loop reaches
     it, so memory is O(chunk * n_grid) plus two blocks (``_BLOCK_BYTES``
     each), whatever the number of steps.  Each batch's blocks are drawn on a
-    producer thread, which is joined before this returns or raises.  Batch
+    worker thread, which is joined before this returns or raises.  Batch
     moments are combined with the parallel mean/M2 merge.  The result is
     bitwise reproducible for a fixed chunk; other chunkings agree up to
     rounding (see the module docstring).

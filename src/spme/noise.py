@@ -10,7 +10,7 @@ Randomness policy: every path owns a child stream derived from
 ``SeedSequence([master_seed, path_idx])``, so ensembles are reproducible no
 matter how paths are scheduled or how the time axis is chunked.  Ensembles
 continue each path's stream one time block at a time, written in place
-into one of two path-major blocks that a producer thread fills while the
+into one of two path-major blocks that a worker thread fills while the
 other is stepped, so their increment memory is two blocks, not paths x
 steps.  Refining a path to step ``dt/2`` uses a Brownian-bridge split whose
 midpoint draws come from a separate stream keyed by the refinement level;
