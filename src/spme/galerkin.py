@@ -324,8 +324,9 @@ class _StepPlan:
     """What one time loop fixes before its first step; ``step`` does the arithmetic.
 
     The scheme branch and its alpha check, the noise amplitudes, whether
-    Phi_0 has terms, and the loop's stability guard.  The drift and solver
-    functions stay module globals, looked up at each call.
+    Phi_0 has terms, whether a semi-implicit step adds noise at all, and the
+    loop's stability guard.  The drift and solver functions stay module
+    globals, looked up at each call.
     """
 
     def __init__(self, config: StepperConfig, dom, drift, noise):
@@ -338,6 +339,13 @@ class _StepPlan:
         self.config, self.dom, self.drift, self.noise = config, dom, drift, noise
         self.sigma = noise.sigma_array()
         self.phi0 = bool(drift.phi.phi0_terms)
+        # With every sigma_k = 0 and no Phi_0 terms the implicit right side
+        # b = values + dt * rhs holds no -0.0 (rhs has +0.0 added), so adding
+        # the synthesis of the +-0 noise coefficients would change no bit.
+        # The explicit step adds it: there + noise can turn -0.0 into +0.0.
+        self.adds_noise = self.explicit or self.phi0 or bool(self.sigma.any())
+        # Additive noise: the ledger record rho sigma is sigma on every row.
+        self._sigma_rows = np.broadcast_to(self.sigma, (1, len(self.sigma)))
         self.guard = _StabilityGuard(dom, drift, config.dt, config.n_modes)
 
     def step(self, t, C, dW, records=False):
@@ -350,35 +358,42 @@ class _StepPlan:
         """
         config, dom, drift, noise = self.config, self.dom, self.drift, self.noise
         dt, m = config.dt, config.n_modes
-        noise_c = np.zeros_like(C)
-        blocks = noise_c.reshape(-1, len(dW), dom.n_grid)[..., :noise.n_modes]
         if noise.mult is None:
             z = self.sigma
-            blocks[...] = z * dW
         else:
             z = noise.mult(np.sqrt(dom.h_pair(C, C)))[:, None] * self.sigma
-            blocks[...] = z.reshape(blocks.shape) * dW
+        if self.adds_noise:
+            noise_c = np.zeros(C.shape)
+            blocks = noise_c.reshape(-1, len(dW), dom.n_grid)[..., :noise.n_modes]
+            blocks[...] = (z if noise.mult is None else z.reshape(blocks.shape)) * dW
         values = dom.from_spectral(C)
         if self.explicit:
-            s_max = float(np.max(np.abs(values)))
+            s_max = float(np.abs(values).max())
             if math.isfinite(s_max):
                 self.guard.check(s_max, t)
             A = drift_coeffs(dom, drift, t, values, C)
-            new = np.zeros_like(C)
-            new[:, :m] = C[:, :m] + dt * A[:, :m]
-            new[:, :m] += noise_c[:, :m]
+            new = C + dt * A
+            new += noise_c
+            new[:, m:] = 0.0
         else:
             rhs = drift.phi.h_at(t) * values
             # Without Phi_0 terms a zero is still added, for its bits (-0.0 + 0.0 is +0.0).
             rhs += phi0_eval(drift.phi, values) if self.phi0 else 0.0
             b = values + dt * rhs
-            b += dom.from_spectral(noise_c)
+            if self.adds_noise:
+                b += dom.from_spectral(noise_c)
             U = _newton_implicit(dom, drift.psi, t, b, dt, config.implicit_tol,
                                  config.implicit_max_iter)
             new = dom.to_spectral(U)
             new[:, m:] = 0.0
             A = drift_coeffs(dom, drift, t, values, C) if records else None
-        return new, ((A, np.broadcast_to(z, (len(C), noise.n_modes))) if records else None)
+        if not records:
+            return new, None
+        if noise.mult is None:
+            if len(self._sigma_rows) != len(C):
+                self._sigma_rows = np.broadcast_to(z, (len(C), noise.n_modes))
+            z = self._sigma_rows
+        return new, (A, z)
 
 
 def _initial_rows(config: StepperConfig, dom: SpectralDomain, noise: NoiseSpec,
@@ -416,7 +431,7 @@ def _time_loop(plan: _StepPlan, C, increments, first_path, records=False):
             row = int(np.argmax(np.abs(dom.from_spectral(C)).max(axis=-1)))
             err.path, err.step = first_path + row % P, k + 1
             raise
-        if not np.all(np.isfinite(C)):
+        if not np.isfinite(C).all():
             row = int(np.argmin(np.isfinite(C).all(axis=-1)))
             raise BlowUpError(
                 f"non-finite state at step {k + 1} (t={t + dt:.6g})", step=k + 1,
@@ -577,7 +592,7 @@ class _Observables(dict):
         if name == "R":
             return self["modular"] + self["h_norm_sq"]
         if name == "sup_abs":
-            return np.max(np.abs(self["values"]), axis=-1)
+            return np.abs(self["values"]).max(axis=-1)
         return C[:, int(name[5:]) - 1]
 
 
@@ -597,11 +612,13 @@ def _increment_steps(noise: NoiseSpec, config: StepperConfig, master_seed: int,
 
     Every path keeps its own stream, continued one time block at a time, so
     the numbers are those of a whole-path draw.  One worker thread draws
-    block k+1, path by path, while the caller steps block k.  The two blocks
-    are path-major (P, width, n_modes) arrays of at most ``_BLOCK_BYTES``
-    each, and step j of a block is the strided view ``block[:, j]``.  An
-    error in a draw is raised here as it is; returning, raising or closing
-    the generator joins the worker.
+    block k+1 while the caller steps block k, in one block-form
+    ``increments_for_path`` call that fills each path's rows from its own
+    stream and scales the block once.  The two blocks are path-major
+    (P, width, n_modes) arrays of at most ``_BLOCK_BYTES`` each, and step j
+    of a block is the strided view ``block[:, j]``.  An error in a draw is
+    raised here as it is; returning, raising or closing the generator joins
+    the worker.
     """
     n_steps, m = config.n_steps, noise.n_modes
     width = max(1, min(n_steps, _BLOCK_BYTES // (8 * P * m)))
@@ -610,11 +627,9 @@ def _increment_steps(noise: NoiseSpec, config: StepperConfig, master_seed: int,
     blocks = [np.empty((P, width, m)) for _ in range(min(2, len(starts)))]
 
     def draw(j):
-        block, n = blocks[j % 2], min(width, n_steps - starts[j])
-        for i, rng in enumerate(streams):
-            increments_for_path(noise, n, config.dt, master_seed, first + i,
-                                stream=rng, out=block[i, :n])
-        return block[:, :n]
+        n = min(width, n_steps - starts[j])
+        return increments_for_path(noise, n, config.dt, master_seed, first,
+                                   stream=streams, out=blocks[j % 2][:, :n])
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         drawn = worker.submit(draw, 0)

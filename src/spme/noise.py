@@ -9,10 +9,11 @@ Lipschitz scalar factor (``rho = 1`` gives additive noise).  Since the modes
 Randomness policy: every path owns a child stream derived from
 ``SeedSequence([master_seed, path_idx])``, so ensembles are reproducible no
 matter how paths are scheduled or how the time axis is chunked.  Ensembles
-continue each path's stream one time block at a time, written in place
-into one of two path-major blocks that a worker thread fills while the
-other is stepped, so their increment memory is two blocks, not paths x
-steps.  Refining a path to step ``dt/2`` uses a Brownian-bridge split whose
+continue each path's stream one time block at a time: one call writes a
+batch's next block in place, each path's rows from its own stream, into one
+of two path-major blocks that a worker thread fills while the other is
+stepped, so their increment memory is two blocks, not paths x steps.
+Refining a path to step ``dt/2`` uses a Brownian-bridge split whose
 midpoint draws come from a separate stream keyed by the refinement level;
 the two half-step increments always sum back to the coarse increment.
 """
@@ -20,6 +21,7 @@ the two half-step increments always sum back to the coarse increment.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,25 +113,40 @@ def _bridge_stream(master_seed: int, path_idx: int, level: int) -> np.random.Gen
 
 def increments_for_path(
     spec: NoiseSpec, n_steps: int, dt: float, master_seed: int, path_idx: int,
-    stream: np.random.Generator | None = None, out: np.ndarray | None = None,
+    stream: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Increments of one path, shape (n_steps, n_modes), row per step.
 
     Rows are drawn in C order from the path stream, so generating the array
     in one call or in sequential row chunks yields identical numbers.  With
     ``stream`` (that path's ``path_stream``) the next ``n_steps`` rows are
-    drawn from it; ``monte_carlo`` draws its paths this way, one time block
-    at a time, and never holds a whole path.  With ``out`` (a C-contiguous
-    float array of that shape) the rows are written there and ``out`` is
-    returned: standard normals scaled by sqrt(dt), plus 0.0, which is the
-    arithmetic of ``normal(0, sqrt(dt))``, so the bits are the same.
+    drawn from it.  With ``out`` (a C-contiguous float array of that shape)
+    the rows are written there and ``out`` is returned: standard normals
+    scaled by sqrt(dt), plus 0.0, which is the arithmetic of
+    ``normal(0, sqrt(dt))``, so the bits are the same.
+
+    Block form: ``stream`` a sequence of path streams and ``out`` of shape
+    (len(stream), n_steps, n_modes) whose ``out[i]`` are C-contiguous, such
+    as a time slice ``block[:, :n]`` of a path-major block.  ``out[i]``
+    takes the next ``n_steps`` rows of ``stream[i]``, bitwise what a
+    one-path call on that stream gives, and the block is scaled once;
+    ``master_seed`` and ``path_idx`` are not used.  ``monte_carlo`` draws
+    each batch this way, one time block per call, and never holds a whole
+    path.
     """
-    rng = path_stream(master_seed, path_idx) if stream is None else stream
-    if out is None:
-        return rng.normal(0.0, math.sqrt(dt), size=(n_steps, spec.n_modes))
-    if out.shape != (n_steps, spec.n_modes):
-        raise ValueError("out must have shape (n_steps, n_modes)")
-    rng.standard_normal(out=out)
+    if stream is None or isinstance(stream, np.random.Generator):
+        rng = path_stream(master_seed, path_idx) if stream is None else stream
+        if out is None:
+            return rng.normal(0.0, math.sqrt(dt), size=(n_steps, spec.n_modes))
+        streams, rows, shape = (rng,), (out,), (n_steps, spec.n_modes)
+    else:
+        streams, rows, shape = stream, out, (len(stream), n_steps, spec.n_modes)
+    if out is None or out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, got "
+                         f"{None if out is None else out.shape}")
+    for rng, r in zip(streams, rows):
+        rng.standard_normal(out=r)
     out *= math.sqrt(dt)
     out += 0.0  # -0.0 becomes +0.0, as in normal's loc + scale * z
     return out

@@ -39,11 +39,12 @@ from spme.galerkin import (
 )
 from spme.noise import NoiseSpec, RhoFactor, increments_for_path, refine_increments
 from spme.triple import Field, SpectralDomain, h_norm
-from spme.verify import ito_ledger
+from spme.verify import extinction_time, ito_ledger
 
 PME = DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),)), phi=PhiSpec(), mode="A1")
 LINEAR = DriftSpec(psi=PsiSpec(terms=((1.0, 1.0),)), phi=PhiSpec(), mode="A1")
 NO_DRIFT = DriftSpec(psi=PsiSpec(), phi=PhiSpec(), mode="A1")
+FAST = DriftSpec(psi=PsiSpec(terms=((1.0, 0.5),)), phi=PhiSpec(), mode="A1")
 ZERO_NOISE = NoiseSpec(sigma=(0.0,))
 
 
@@ -119,6 +120,46 @@ def test_semi_implicit_zero_rhs():
     cfg = StepperConfig(dt=0.1, T=0.1, n_modes=10, scheme="semi-implicit")
     out, _ = _StepPlan(cfg, dom, PME, ZERO_NOISE).step(0.0, np.zeros((1, 10)), np.zeros((1, 1)))
     np.testing.assert_array_equal(dom.from_spectral(out[0]), 0.0)
+
+
+@pytest.mark.parametrize("drift", [PME, FAST], ids=["pme", "fast-diffusion"])
+def test_zero_noise_implicit_step_skips_the_noise_synthesis(monkeypatch, drift):
+    # sigma = 0 and no Phi_0: no noise is synthesized, one transform per step.
+    # The run with sigma = 0.3 on increments of +0.0 synthesizes its zero
+    # noise and adds it, and its states are the same bytes, through the
+    # fast-diffusion extinction (t = 0.1275 here) to the end.
+    dom = SpectralDomain(32)
+    bump = Field.from_values(dom, np.maximum(0.0, 1.0 - ((dom.x - 0.5) / 0.15) ** 2))
+    cfg = StepperConfig(dt=2.5e-3, T=0.25, n_modes=32, scheme="semi-implicit",
+                        implicit_tol=1e-8)
+    calls = []
+    synthesis = SpectralDomain.from_spectral
+
+    def counted(self, coeffs):
+        calls.append(1)
+        return synthesis(self, coeffs)
+
+    monkeypatch.setattr(SpectralDomain, "from_spectral", counted)
+    quiet = simulate(cfg, dom, drift, ZERO_NOISE, bump, 0)
+    assert len(calls) == cfg.n_steps
+    calls.clear()
+    zeros = np.zeros((cfg.n_steps, 1))
+    added = simulate(cfg, dom, drift, NoiseSpec(sigma=(0.3,)), bump, 0, increments=zeros)
+    assert len(calls) == 2 * cfg.n_steps
+    assert quiet.coeff_matrix().tobytes() == added.coeff_matrix().tobytes()
+    assert (extinction_time(quiet, 1e-6) is None) == (drift is PME)
+
+
+def test_step_records_one_diffusion_row_per_batch_row():
+    # One plan serves batches of several sizes (X and Y rows on P paths).
+    dom = SpectralDomain(8)
+    cfg = StepperConfig(dt=1e-3, T=1e-3, n_modes=8)
+    for nz in (NoiseSpec(sigma=(0.3, 0.1)), NoiseSpec(sigma=(0.3, 0.1), mult=RhoFactor(0.5, 1.0))):
+        plan = _StepPlan(cfg, dom, NO_DRIFT, nz)
+        for rows, P in ((1, 1), (3, 3), (6, 3), (2, 1), (1, 1)):
+            _, (A, z) = plan.step(0.0, np.zeros((rows, 8)), np.zeros((P, 2)), records=True)
+            assert A.shape == (rows, 8) and z.shape == (rows, 2)
+            assert (z == nz.sigma_array()).all()  # rho(0) = 1
 
 
 def test_semi_implicit_requires_full_laplacian():
@@ -824,7 +865,8 @@ def test_monte_carlo_rejects_chunk_below_one(chunk):
 @pytest.mark.parametrize("scheme", ["explicit", "semi-implicit"])
 def test_monte_carlo_block_size_does_not_matter(monkeypatch, scheme, paired):
     # Blocks of 1 step and of 7 steps (7 does not divide the 40 steps) give
-    # the bits of the default, where the whole run is one block.
+    # the bits of the default, where the whole run is one block.  Each block
+    # of a batch is one draw call of (paths, steps).
     dom, _, X0, cfg = _small_setup()
     cfg = StepperConfig(dt=cfg.dt, T=40 * cfg.dt, n_modes=cfg.n_modes, scheme=scheme)
     nz = NoiseSpec(sigma=(0.4, 0.2), mult=RhoFactor(0.2, 1.5))
@@ -834,8 +876,11 @@ def test_monte_carlo_block_size_does_not_matter(monkeypatch, scheme, paired):
     draw = galerkin.increments_for_path
 
     def counted(noise, n_steps, *args, **kwargs):
-        draws.append(n_steps)
+        draws.append((len(kwargs["stream"]), n_steps))
         return draw(noise, n_steps, *args, **kwargs)
+
+    def blocks(P, width):
+        return [(P, min(width, 40 - k0)) for k0 in range(0, 40, width)]
 
     monkeypatch.setattr(galerkin, "increments_for_path", counted)
 
@@ -845,13 +890,14 @@ def test_monte_carlo_block_size_does_not_matter(monkeypatch, scheme, paired):
                            chunk=3)
 
     ref = run()
-    assert draws == [40] * 7
+    assert draws == [(3, 40), (3, 40), (1, 40)]
     for steps in (1, 7):
         # A full batch draws 3 paths x 2 modes x 8 bytes per step; the last
         # batch, one path, draws blocks three times as long.
         monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 48 * steps)
         st = run()
-        assert draws[:3] == [steps] * 3 and sum(draws) == 7 * 40
+        assert draws == blocks(3, steps) * 2 + blocks(1, 3 * steps)
+        assert sum(P * n for P, n in draws) == 7 * 40
         for a, b in ((st.mean, ref.mean), (st.var, ref.var), (st.se, ref.se)):
             assert a.tobytes() == b.tobytes()
 
@@ -880,21 +926,27 @@ def test_monte_carlo_memory_does_not_grow_with_steps(monkeypatch):
 def test_monte_carlo_holds_at_most_two_increment_blocks(monkeypatch):
     # Ten blocks of 64 steps (32 KiB each) against one step: the run may add
     # its two blocks and a few batch-sized state arrays, not a third block.
+    # An untraced ensemble first takes the one-time allocations of the first
+    # ensemble in a process, which would otherwise land on one side only.
     dom = SpectralDomain(8)
     nz = NoiseSpec(sigma=(0.1,) * 8)
     P = 8
     monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 64 * P * 8 * 8)
 
-    def peak(n_steps):
+    def run(n_steps):
         cfg = StepperConfig(dt=1e-4, T=n_steps * 1e-4, n_modes=8)
+        monte_carlo(cfg, dom, LINEAR, nz, Field.zero(dom), 0, P, ("h_norm_sq",),
+                    save_every=n_steps)
+
+    def peak(n_steps):
         tracemalloc.start()
         try:
-            monte_carlo(cfg, dom, LINEAR, nz, Field.zero(dom), 0, P, ("h_norm_sq",),
-                        save_every=n_steps)
+            run(n_steps)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    run(640)
     states = 8 * P * dom.n_grid * 8
     long, short, limit = peak(640), peak(1), 2 * galerkin._BLOCK_BYTES + states
     assert long - short <= limit, f"peak(640) {long} - peak(1) {short} > {limit} B"
@@ -916,9 +968,10 @@ def _fail_at_step(monkeypatch, k_fail, error):
 
 @pytest.mark.parametrize("error", [None, BlowUpError, ConvergenceError, StabilityError])
 def test_monte_carlo_joins_its_producer_on_every_exit(monkeypatch, error):
-    # Blocks of 4 steps: the 20-step batch draws 5 blocks, and the failing
-    # step 14 lies in the fourth.  The producer is gone once the call leaves,
-    # even while the exception (and its traceback) is still held.
+    # Blocks of 4 steps: the 20-step batch draws 5 blocks, one call each, and
+    # the failing step 14 lies in the fourth, by when the fifth was submitted.
+    # The producer is gone once the call leaves, even while the exception
+    # (and its traceback) is still held.
     dom, _, X0, cfg = _small_setup()
     cfg = StepperConfig(dt=cfg.dt, T=20 * cfg.dt, n_modes=cfg.n_modes)
     nz, P = NoiseSpec(sigma=(0.1, 0.05)), 3
@@ -928,7 +981,7 @@ def test_monte_carlo_joins_its_producer_on_every_exit(monkeypatch, error):
     before = threading.active_count()
     if error is None:
         st = monte_carlo(cfg, dom, LINEAR, nz, X0, 5, P, ("h_norm_sq",))
-        assert calls["increments_for_path"] == 5 * P
+        assert calls["increments_for_path"] == 5
         assert st.mean.tobytes() == ref.mean.tobytes()
         assert threading.active_count() == before
         return
@@ -936,7 +989,7 @@ def test_monte_carlo_joins_its_producer_on_every_exit(monkeypatch, error):
     with pytest.raises(error) as info:
         monte_carlo(cfg, dom, LINEAR, nz, X0, 5, P, ("h_norm_sq",))
     assert info.value.step == 14
-    assert calls["increments_for_path"] >= 4 * P
+    assert calls["increments_for_path"] == 5
     assert threading.active_count() == before
 
 
@@ -971,8 +1024,8 @@ def test_concurrent_ensembles_keep_their_bits_under_fast_switching(monkeypatch):
 
 
 def test_monte_carlo_raises_the_producers_own_exception(monkeypatch):
-    # The seventh draw is path 0 of the third block; the caller gets that
-    # very exception object, and no producer thread is left behind.
+    # The third draw call is the third block; the caller gets that very
+    # exception object, and no producer thread is left behind.
     dom, nz, X0, cfg = _small_setup()
     P = 3
     monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 4 * P * nz.n_modes * 8)
@@ -980,7 +1033,7 @@ def test_monte_carlo_raises_the_producers_own_exception(monkeypatch):
 
     def failing(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 7:
+        if len(calls) == 3:
             raised.append(RuntimeError("draw failed"))
             raise raised[0]
         return draw(*args, **kwargs)
@@ -990,7 +1043,7 @@ def test_monte_carlo_raises_the_producers_own_exception(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         monte_carlo(cfg, dom, LINEAR, nz, X0, 5, P, ("h_norm_sq",))
     assert info.value is raised[0]
-    assert len(calls) == 7
+    assert len(calls) == 3
     assert threading.active_count() == before
 
 
@@ -1221,7 +1274,8 @@ def test_trace_targets_are_looked_up_at_call_time(monkeypatch):
     widths.clear()
     monte_carlo(cfg, dom, PME, nz, X0, 3, 5, ("dist_sq",), Y0=Field.zero(dom))
     assert all(calls.values()), calls
-    assert calls["increments_for_path"] == 5
+    # The 5 pairs' 10 steps are one block, drawn in one call.
+    assert calls["increments_for_path"] == 1
     assert calls["solve_banded"] == calls["psi_prime"]
     # Each iteration solves the 10 rows (X and Y of 5 pairs) still active in one call.
     assert max(widths) == 10 * 16 and all(w % 16 == 0 for w in widths)

@@ -232,6 +232,29 @@ def test_increments_written_into_out_are_the_allocated_ones(dt):
         increments_for_path(spec, 99, dt, 42, 7, out=buf)
 
 
+@pytest.mark.parametrize("dt", [0.01, 0.0])
+def test_block_draw_is_the_stacked_path_draws(dt):
+    # One call fills a path-major block, each path's rows from its own
+    # stream: a block of 40 steps, then a short last block of 25 written
+    # through the non-contiguous time slice block[:, :25].
+    spec = NoiseSpec(sigma=(1.0, 2.0))
+    paths = (3, 4, 5)
+    ref = np.stack([increments_for_path(spec, 65, dt, 42, p) for p in paths])
+    streams = [path_stream(42, p) for p in paths]
+    block, got = np.full((3, 40, 2), np.nan), []
+    for n in (40, 25):
+        out = block[:, :n]
+        assert increments_for_path(spec, n, dt, 42, 3, stream=streams, out=out) is out
+        got.append(out.copy())
+    assert np.concatenate(got, axis=1).tobytes() == ref.tobytes()
+    assert block[:, 25:].tobytes() == ref[:, 25:40].tobytes()
+    for bad in ((2, 40, 2), (3, 39, 2), (3, 40, 3), (40, 2)):
+        with pytest.raises(ValueError, match="out must have shape"):
+            increments_for_path(spec, 40, dt, 42, 3, stream=streams, out=np.empty(bad))
+    with pytest.raises(ValueError, match="out must have shape"):
+        increments_for_path(spec, 40, dt, 42, 3, stream=streams)
+
+
 def test_refinement_sums_back_exactly():
     spec = NoiseSpec(sigma=(1.0, 1.0, 1.0))
     dt = 2e-3

@@ -4,7 +4,7 @@
 time them; a rename in ``src`` makes ``Tracer()`` raise, and a call path that
 bypasses a wrapper makes ``layer_metrics`` raise.  This runs both checks on a
 short ``simulate_pair`` and a short paired ``monte_carlo``, and counts the
-draws that an ensemble makes on its producer thread.
+draw calls that an ensemble makes on its producer thread, one per block.
 """
 
 import importlib.util
@@ -55,13 +55,14 @@ def test_tracer_hits_every_span_of_the_paired_runs(monkeypatch):
     assert (galerkin.simulate_pair, galerkin.solve_banded,
             SpectralDomain.to_spectral) == originals
     metrics, _ = tracer.layer_metrics(wall, HIT)
-    assert metrics["noise.increments.calls"] == 1 + 4
+    # One draw for the pair's path, one for the ensemble's single block.
+    assert metrics["noise.increments.calls"] == 1 + 1
     assert metrics["galerkin.newton.iters"] > 0
 
 
 def test_tracer_counts_the_draws_of_the_producer_thread(monkeypatch):
     # An unpaired ensemble of 4 paths in blocks of 8 steps: 40 steps make 5
-    # blocks, each path drawn once per block on the producer thread.
+    # blocks, each drawn in one call on the producer thread.
     spans = _load_spans(monkeypatch)
     monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 8 * 4 * 2 * 8)
     dom = SpectralDomain(8)
@@ -80,5 +81,5 @@ def test_tracer_counts_the_draws_of_the_producer_thread(monkeypatch):
     metrics, _ = tracer.layer_metrics(time.perf_counter() - start,
                                       ("triple.transform", "noise.increments",
                                        "drift.drift_coeffs", "galerkin.monte_carlo"))
-    assert metrics["noise.increments.calls"] == 4 * 5
+    assert metrics["noise.increments.calls"] == 5
     assert metrics["noise.increments.bytes"] == 4 * 40 * 2 * 8
