@@ -16,10 +16,16 @@ function of ``(master_seed, path_idx, config)``: bitwise for a fixed batching
 transform (matrix-vector product) and a batched one (matrix-matrix product)
 may differ in the last bits.  So a ``simulate_pair`` trajectory agrees with
 its own ``simulate`` run up to rounding.
+
+scipy is needed only by the semi-implicit scheme: its LAPACK ``gtsv`` is
+imported at the first tridiagonal solve, so a process that never takes a
+semi-implicit step (explicit runs, the condition certificates, the OU closed
+form) never loads scipy, whose import costs more than numpy's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -27,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
 
 from .drift import DriftSpec, drift_coeffs, phi0_eval, psi_eval, psi_prime, psi_prime_max, young_modular
 from .noise import NoiseSpec, increments_for_path, path_stream
@@ -137,8 +142,14 @@ class StepperConfig:
         n = round(self.T / self.dt)
         if abs(n * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             raise ValueError("T must be an integer multiple of dt")
-        if self.implicit_tol <= 0 or self.implicit_max_iter < 1:
-            raise ValueError("implicit_tol must be positive, implicit_max_iter >= 1")
+        # A budget of 2.5 or inf passes `>= 1` but never meets the Newton loop's
+        # `it == max_iter` test; an infinite tolerance accepts the right side unsolved.
+        if not (0 < self.implicit_tol < math.inf):
+            raise ValueError("implicit_tol must be positive and finite")
+        if (isinstance(self.implicit_max_iter, bool)
+                or not isinstance(self.implicit_max_iter, (int, np.integer))
+                or self.implicit_max_iter < 1):
+            raise ValueError("implicit_max_iter must be an integer >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -227,19 +238,28 @@ def _tridiag_L(vals: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _dgtsv():
+    """scipy's LAPACK ``dgtsv``, imported at the first call."""
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
 def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``scipy.linalg.solve_banded((1, 1), ab, b)`` without its per-call dispatch.
 
     The same finiteness check, errors and LAPACK ``gtsv`` call (a 1x1 system
     is divided out), so the solution is bitwise scipy's.  The finiteness
     error is a ``ValueError`` of its own type, so the Newton loop can tell
-    it apart.
+    it apart.  scipy is imported at the first system that passes the check
+    and is larger than 1x1, and only then: no other spme code needs it.
     """
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise _NonFiniteSystem("array must not contain infs or NaNs")
     if len(b) == 1:
         return b / ab[1]
-    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    x, info = _dgtsv()(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
     if info > 0:
         raise LinAlgError("singular matrix")
     return x

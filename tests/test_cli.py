@@ -1,12 +1,15 @@
 """End-to-end tests of the experiment runner."""
 
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spme
 from spme import cli
 from spme.galerkin import monte_carlo, simulate
 
@@ -101,17 +104,49 @@ def test_no_seed_anywhere_is_config_error(tmp_path, monkeypatch, capsys):
     assert "run.master_seed" in capsys.readouterr().err
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # The CLI needs only scipy.linalg; the larger subpackages add import time
-    # and memory to every run, so no module on the import path may pull them in.
+def test_import_loads_no_heavy_scipy_subpackage(tmp_path):
+    # Only the semi-implicit scheme needs scipy: LAPACK gtsv, in its Newton
+    # solve.  Importing spme, an explicit run, an ensemble that draws on its
+    # worker thread and the A2 certificates load no scipy module at all; the
+    # first semi-implicit step loads scipy.linalg, and still none of the larger
+    # subpackages, which add import time and memory to every run.
     heavy = ["scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.special"]
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, spme.cli; print([m for m in {heavy!r} if m in sys.modules])"],
-        capture_output=True, text=True,
-    )
+    cfg = _write_config(tmp_path, drift={"mode": "A2",
+                                         "psi": {"terms": [[1.0, 1.0], [1.0, 3.0]]},
+                                         "phi": {"phi0_terms": [[1.0, 1.0]]}})
+    argv = ["check-conditions", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(spme.__file__).parents[1])!r})
+import numpy as np
+import spme, spme.cli
+from spme import cli, galerkin
+from spme.drift import DriftSpec, PhiSpec, PsiSpec
+from spme.galerkin import StepperConfig, _StepPlan, monte_carlo, simulate
+from spme.noise import NoiseSpec
+from spme.triple import Field, SpectralDomain
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+dom = SpectralDomain(8)
+pme = DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),)), phi=PhiSpec(), mode="A1")
+noise = NoiseSpec(sigma=(0.1, 0.05))
+X0 = Field.from_values(dom, np.sin(np.pi * dom.x))
+explicit = StepperConfig(dt=1e-3, T=0.01, n_modes=8)
+simulate(explicit, dom, pme, noise, X0, 0)
+galerkin._BLOCK_BYTES = 5 * 2 * noise.n_modes * 8  # 5 steps a block: 2 blocks of 2 paths
+monte_carlo(explicit, dom, pme, noise, X0, 0, 2, ("h_norm_sq",))
+assert cli.main({argv!r}) == 0
+print(scipy_modules())
+implicit = StepperConfig(dt=1e-3, T=1e-3, n_modes=8, scheme="semi-implicit")
+_StepPlan(implicit, dom, pme, noise).step(0.0, X0.coeffs[None], np.full((1, 2), 0.01))
+loaded = scipy_modules()
+print("scipy.linalg.lapack" in loaded, [m for m in {heavy!r} if m in loaded])
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "True []"]
 
 
 def test_check_conditions_pass_and_fail(tmp_path, capsys):
@@ -447,8 +482,7 @@ _CONFIG_FAULTS = {
     "stepper-tol-type": ("simulate", _edit("stepper", implicit_tol="x"), 2,
                          "config error at stepper.implicit_tol: expected float, got str"),
     "stepper-tol": ("simulate", _edit("stepper", implicit_tol=0.0), 2,
-                    "config error at stepper: implicit_tol must be positive, "
-                    "implicit_max_iter >= 1"),
+                    "config error at stepper: implicit_tol must be positive and finite"),
     "initial-missing-section": ("simulate", {"initial": None}, 2,
                                 "config error at initial: missing required section"),
     "initial-section-type": ("simulate", {"initial": []}, 2,
@@ -637,6 +671,14 @@ _REJECTED = {
     "ergodicity-declared_c-positive": ("ergodicity", {"ergodicity": {"declared_c": 1.0}},
                                        "config error at ergodicity.declared_c: declared rate "
                                        "must be negative"),
+    # json reads Infinity and NaN: an infinite tolerance accepts every right
+    # side unsolved, a NaN one lets no Newton solve converge.
+    "stepper-tol-inf": ("simulate", _edit("stepper", scheme="semi-implicit",
+                                          implicit_tol=math.inf),
+                        "config error at stepper: implicit_tol must be positive and finite"),
+    "stepper-tol-nan": ("simulate", _edit("stepper", scheme="semi-implicit",
+                                          implicit_tol=math.nan),
+                        "config error at stepper: implicit_tol must be positive and finite"),
 }
 
 

@@ -1,10 +1,13 @@
 """Tests for the steppers, single-path simulation, and the ensemble driver."""
 
+import inspect
 import math
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +62,25 @@ def test_config_validation():
         StepperConfig(dt=0.1, T=1.0, n_modes=4, scheme="midpoint")
     cfg = StepperConfig(dt=0.1, T=1.0, n_modes=4)
     assert cfg.n_steps == 10
+    cfg = StepperConfig(dt=0.1, T=1.0, n_modes=4, implicit_max_iter=np.int64(3))
+    assert cfg.implicit_max_iter == 3
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("implicit_tol", 0.0, "implicit_tol must be positive and finite"),
+    ("implicit_tol", math.inf, "implicit_tol must be positive and finite"),
+    ("implicit_tol", math.nan, "implicit_tol must be positive and finite"),
+    ("implicit_max_iter", 0, "implicit_max_iter must be an integer >= 1"),
+    ("implicit_max_iter", 2.5, "implicit_max_iter must be an integer >= 1"),
+    ("implicit_max_iter", math.inf, "implicit_max_iter must be an integer >= 1"),
+    ("implicit_max_iter", True, "implicit_max_iter must be an integer >= 1"),
+])
+def test_config_refuses_newton_settings_that_skip_or_never_end_the_solve(key, value, message):
+    # A non-integer budget never meets the loop's `it == max_iter` test, so a
+    # solve that does not converge would run for ever; an infinite tolerance
+    # accepts the right side unsolved, a NaN one accepts nothing.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StepperConfig(dt=1e-3, T=1e-3, n_modes=4, scheme="semi-implicit", **{key: value})
 
 
 def test_step_zero_drift_zero_noise_identity():
@@ -1229,6 +1251,81 @@ def test_solve_banded_keeps_scipys_errors():
         galerkin.solve_banded(np.zeros((3, 4)), np.ones(4))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         solve_banded((1, 1), np.zeros((3, 4)), np.ones(4))
+
+
+def _lazy_run():
+    """A semi-implicit noisy PME pair and 2-path ensemble on 32 points.
+
+    Returns the sha256 of every state and moment byte and the number of
+    ``solve_banded`` calls.  Self-contained, so that a fresh interpreter can
+    run its source.
+    """
+    import hashlib
+
+    import numpy as np
+
+    import spme.galerkin as galerkin
+    from spme.drift import DriftSpec, PhiSpec, PsiSpec
+    from spme.noise import NoiseSpec
+    from spme.triple import Field, SpectralDomain
+
+    solve, calls = galerkin.solve_banded, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    dom = SpectralDomain(32)
+    pme = DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),)), phi=PhiSpec(), mode="A1")
+    noise = NoiseSpec(sigma=(0.2, 0.1, 0.05))
+    cfg = galerkin.StepperConfig(dt=5e-3, T=0.05, n_modes=32, scheme="semi-implicit")
+    X0 = Field.from_values(dom, np.sin(np.pi * dom.x))
+    digest = hashlib.sha256()
+    galerkin.solve_banded = counted
+    try:
+        for traj in galerkin.simulate_pair(cfg, dom, pme, noise, X0, Field.zero(dom), 7):
+            digest.update(traj.coeff_matrix().tobytes())
+        st = galerkin.monte_carlo(cfg, dom, pme, noise, X0, 7, 2, ("h_norm_sq", "sup_abs"))
+        for moments in (st.mean, st.var, st.se):
+            digest.update(moments.tobytes())
+    finally:
+        galerkin.solve_banded = solve
+    return digest.hexdigest(), calls[0]
+
+
+def test_scipy_is_imported_at_the_first_solve_and_changes_no_bit():
+    # A fresh interpreter loads scipy at its first tridiagonal solve, not
+    # before: not for a refused system, nor for a 1x1 one.  Its semi-implicit
+    # runs match this process's (which imported scipy at the start) bitwise,
+    # with the same number of solves, and a singular system is still refused.
+    script = inspect.getsource(_lazy_run) + f"""
+import sys
+sys.path.insert(0, {str(Path(galerkin.__file__).parents[1])!r})
+import numpy as np
+import spme.galerkin as galerkin
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+try:
+    galerkin.solve_banded(np.full((3, 4), np.nan), np.ones(4))
+except galerkin._NonFiniteSystem as err:
+    print(err)
+print(galerkin.solve_banded(np.ones((3, 1)), np.full(1, 2.0)), scipy_loaded())
+print(*_lazy_run(), scipy_loaded())
+try:
+    galerkin.solve_banded(np.zeros((3, 4)), np.ones(4))
+except np.linalg.LinAlgError as err:
+    print(err)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(ValueError) as ref:
+        solve_banded((1, 1), np.full((3, 4), np.nan), np.ones(4))
+    digest, calls = _lazy_run()
+    assert calls > 0 and "scipy.linalg.lapack" in sys.modules
+    assert proc.stdout.splitlines() == [str(ref.value), "[2.] False", f"{digest} {calls} True",
+                                        "singular matrix"]
 
 
 def _count_calls(monkeypatch, names, record=None):
