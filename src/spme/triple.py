@@ -17,9 +17,15 @@ mode by lam_k,
     <u, v>_H = sum_k  u_k v_k / lam_k,
 
 which coincides with m(u * (-L)^{-1} v) by Parseval (m(fg) = sum_k f_k g_k);
-``SpectralDomain.h_pair`` is this sum over rows of sine coefficients, and a
-state (``Field``) is one such row.  V carries the Luxemburg norm of a Young
-function plus the H norm.
+``SpectralDomain.h_pair`` is this sum over rows of sine coefficients, the
+generator is the multiplier ``-dom.lam``, and a state (``Field``) is one such
+row.  V carries the Luxemburg norm of a Young function plus the H norm.
+
+Both transforms are a product against the dense basis, which is allocated on
+a 64-byte boundary: OpenBLAS's one-row kernel takes up to 1.8 times as long
+when the matrix starts elsewhere (its output bytes are the same), and where
+malloc put the basis would otherwise decide the speed of every single-path
+run.
 """
 from __future__ import annotations
 
@@ -30,8 +36,6 @@ from .orlicz import DiscreteMeasure
 __all__ = [
     "SpectralDomain",
     "Field",
-    "apply_L",
-    "h_inner",
     "h_norm",
 ]
 
@@ -40,24 +44,31 @@ class SpectralDomain:
     """Interior grid, discrete sine basis, and fractional Dirichlet spectrum."""
 
     def __init__(self, n_grid: int, alpha: float = 1.0):
+        if isinstance(n_grid, bool) or not isinstance(n_grid, (int, np.integer)):
+            raise ValueError(f"n_grid must be an integer, got {n_grid!r}")
         if not (1 <= n_grid <= 1024):
             raise ValueError("n_grid must lie in [1, 1024] (dense transforms)")
         if not (0.0 < alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
-        self.n_grid = int(n_grid)
+        self.n_grid = n = int(n_grid)
         self.alpha = float(alpha)
-        self.h = 1.0 / (n_grid + 1)
-        self.x = self.h * np.arange(1, n_grid + 1)
-        k = np.arange(1, n_grid + 1)
+        self.h = 1.0 / (n + 1)
+        self.x = self.h * np.arange(1, n + 1)
+        k = np.arange(1, n + 1)
         self.lam_fd = (2.0 / self.h**2) * (1.0 - np.cos(k * np.pi * self.h))
         self.lam = self.lam_fd**self.alpha
         # S[i, k-1] = sqrt(2) sin(k pi x_i); symmetric, and h * S @ S = I.
         # Reduce k*i mod 2(n+1) in integers before multiplying by pi: the
         # values are identical by periodicity but the large-argument rounding
         # of sin disappears, which the exact spectral identities rely on.
-        idx = np.arange(1, n_grid + 1, dtype=np.int64)
-        reduced = np.outer(idx, idx) % (2 * (n_grid + 1))
-        self.basis = np.sqrt(2.0) * np.sin(np.pi * reduced / (n_grid + 1))
+        idx = np.arange(1, n + 1, dtype=np.int64)
+        reduced = np.outer(idx, idx) % (2 * (n + 1))
+        # The basis starts on a 64-byte boundary (see the module docstring);
+        # 7 spare doubles reach one from any 8-byte-aligned start.
+        buf = np.empty(n * n + 7)
+        start = (-buf.__array_interface__["data"][0] % 64) // 8
+        self.basis = buf[start:start + n * n].reshape(n, n)
+        np.multiply(np.sqrt(2.0), np.sin(np.pi * reduced / (n + 1)), out=self.basis)
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Sine coefficients of grid values; accepts (n,) or batched (B, n)."""
@@ -135,18 +146,8 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# operators and pairings
+# norms
 # ---------------------------------------------------------------------------
-
-
-def apply_L(dom: SpectralDomain, f: Field) -> Field:
-    """Spectral multiplier (Lf)_k = -lam_k f_k (negative definite)."""
-    return Field(dom, -dom.lam * f.coeffs)
-
-
-def h_inner(dom: SpectralDomain, u: Field, v: Field) -> float:
-    """<u, v>_H, see ``SpectralDomain.h_pair``."""
-    return float(dom.h_pair(u.coeffs, v.coeffs))
 
 
 def h_norm(dom: SpectralDomain, u: Field) -> float:

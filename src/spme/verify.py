@@ -22,6 +22,10 @@ from .triple import Field, SpectralDomain
 # Ito ledger
 # ---------------------------------------------------------------------------
 
+#: Bytes of coefficient rows the ledger evaluates at a time (128 rows at
+#: n_grid 256): small enough that a block and its temporaries stay in cache.
+_LEDGER_BLOCK_BYTES = 1 << 18
+
 
 def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
     # The ledger cancels O(|X|_H^2) quantities down to the O(dt^2) remainder,
@@ -76,22 +80,38 @@ def ito_ledger(traj: Trajectory) -> ItoLedger:
         raise ValueError(
             "trajectory lacks the Ito records; simulate with record_ito=True"
         )
-    dom, X = traj.dom, traj.coeff_matrix()
-    hn = dom.h_pair(X, X)
+    dom, states = traj.dom, traj.states
     Y, Z, dW = traj.drift_record, traj.diffusion_record, traj.increments
-    lam_n = dom.lam[: Z.shape[1]]
-    pairing = 2.0 * dom.h_pair(Y, X[:-1])
-    hs = np.sum(Z * Z / lam_n, axis=1)
-    mart = 2.0 * np.sum(Z * dW * X[:-1, : Z.shape[1]] / lam_n, axis=1)
+    n_steps, m = Z.shape
+    lam_n = dom.lam[:m]
+    hn = np.empty(n_steps + 1)
+    pairing, hs, mart, hn_step = (np.empty(n_steps) for _ in range(4))
+    # The per-step terms are row sums, so they are evaluated a block of
+    # states at a time and the coefficient matrix is never held whole.  Row
+    # 0 of the block is the last state of the block before: step k pairs
+    # X_k with X_{k+1}.
+    rows = max(1, _LEDGER_BLOCK_BYTES // (8 * dom.n_grid))
+    X = np.empty((min(rows, n_steps) + 1, dom.n_grid))
+    X[0] = states[0].coeffs
+    hn[0] = dom.h_pair(X[0], X[0])
+    for a in range(0, n_steps, rows):
+        b = min(a + rows, n_steps)
+        X_k, X_next = X[:b - a], X[1:b - a + 1]
+        np.stack([s.coeffs for s in states[a + 1:b + 1]], out=X_next)
+        hn[a + 1:b + 1] = dom.h_pair(X_next, X_next)
+        pairing[a:b] = 2.0 * dom.h_pair(Y[a:b], X_k)
+        Z_k = Z[a:b]
+        hs[a:b] = np.sum(Z_k * Z_k / lam_n, axis=1)
+        mart[a:b] = 2.0 * np.sum(Z_k * dW[a:b] * X_k[:, :m] / lam_n, axis=1)
+        # The residual is |X_k|_H^2 minus the accumulated right-hand side,
+        # but evaluating it as hn - cumsum(...) cancels O(|X|_H^2) quantities
+        # down to an O(dt^2) remainder and loses ~ulp(|X|_H^2) per norm
+        # evaluation.  The telescoped form sums a^2 - b^2 = (a-b)(a+b) mode
+        # by mode, which keeps every term at the size of the actual increment.
+        hn_step[a:b] = dom.h_pair(X_next - X_k, X_next + X_k)
+        X[0] = X_next[-1]
     dt = np.diff(traj.times)
     increments = (pairing + hs) * dt + mart
-    # The residual is |X_k|_H^2 minus the accumulated right-hand side, but
-    # evaluating it as hn - cumsum(...) cancels O(|X|_H^2) quantities down to
-    # an O(dt^2) remainder and loses ~ulp(|X|_H^2) per norm evaluation.  The
-    # telescoped form sums a^2 - b^2 = (a-b)(a+b) mode by mode, which keeps
-    # every term at the size of the actual increment.
-    dX = np.diff(X, axis=0)
-    hn_step = dom.h_pair(dX, X[1:] + X[:-1])
     residuals = np.concatenate([[0.0], _compensated_cumsum(hn_step - increments)])
     return ItoLedger(times=traj.times, h_norm_sq=hn, pairing=pairing, hs=hs,
                      martingale=mart, residuals=residuals)

@@ -32,7 +32,7 @@ from spme.drift import (
 from spme.galerkin import _Observables
 from spme.noise import NoiseSpec, RhoFactor
 from spme.orlicz import young_dual
-from spme.triple import Field, SpectralDomain, h_inner, h_norm
+from spme.triple import Field, SpectralDomain, h_norm
 
 
 def pme_spec(r=2.0, coeff=1.0):
@@ -295,7 +295,7 @@ def test_assemble_galerkin_coordinates_two_routes():
         linv_e = solve_banded((1, 1), banded, e_hat.values)
         rhs.append(
             -h * np.sum(psi_vals * e_hat.values)
-            + 0.4 * h_inner(dom, X, e_hat)
+            + 0.4 * dom.h_pair(X.coeffs, e_hat.coeffs)
             - h * np.sum(phi0_vals * linv_e)
         )
     np.testing.assert_allclose(np.array(lhs), np.array(rhs), rtol=1e-9, atol=1e-10)
@@ -631,19 +631,19 @@ def _reference_check_H(dom, spec, noise):
         t = float(ts[i % ts.size])
         a_u, a_v = drift(t, u), drift(t, v)
         duv = h_norm(dom, u - v) ** 2
-        lhs2 = (2.0 * h_inner(dom, a_u - a_v, u - v)
+        lhs2 = (2.0 * dom.h_pair((a_u - a_v).coeffs, (u - v).coeffs)
                 + (rho(u) - rho(v)) ** 2 * declared["hs0_sq"])
         c_emp = max(c_emp, lhs2 / duv)
         if lhs2 > declared["c_h2"] * duv + 1e-9 * (1.0 + abs(lhs2)):
             failures.append(("h2", i, lhs2, declared["c_h2"] * duv))
         r_v, r_u = R(v), R(u)
-        lhs3 = 2.0 * h_inner(dom, a_v, v) + rho(v) ** 2 * declared["hs0_sq"]
+        lhs3 = 2.0 * dom.h_pair(a_v.coeffs, v.coeffs) + rho(v) ** 2 * declared["hs0_sq"]
         rhs3 = (declared["c1"] * h_norm(dom, v) ** 2 - declared["c2"] * r_v
                 + declared["f_h3"])
         h3_margin = min(h3_margin, (rhs3 - lhs3) / (1.0 + abs(lhs3) + abs(rhs3)))
         if lhs3 > rhs3 + 1e-9 * (1.0 + abs(lhs3) + abs(rhs3)):
             failures.append(("h3", i, lhs3, rhs3))
-        lhs4 = abs(h_inner(dom, a_v, u))
+        lhs4 = abs(dom.h_pair(a_v.coeffs, u.coeffs))
         rhs4 = declared["g_h4"] + declared["c3"] * (r_v + r_u)
         h4_margin = min(h4_margin, (rhs4 - lhs4) / (1.0 + abs(lhs4) + abs(rhs4)))
         if lhs4 > rhs4 + 1e-9 * (1.0 + abs(lhs4) + abs(rhs4)):
@@ -655,7 +655,7 @@ def _reference_check_H(dom, spec, noise):
         t = float(ts[trial % ts.size])
         sweeps = []
         for n_pts in (41, 81):
-            vals = np.array([h_inner(dom, drift(t, u + v * lam), x)
+            vals = np.array([dom.h_pair(drift(t, u + v * lam).coeffs, x.coeffs)
                              for lam in np.linspace(-1.0, 1.0, n_pts)])
             sweeps.append((float(np.max(np.abs(np.diff(vals)))),
                            float(np.max(np.abs(vals)))))

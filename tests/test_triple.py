@@ -11,7 +11,7 @@ from spme.drift import DriftSpec, PhiSpec, PsiSpec, drift_coeffs, psi_eval
 from spme.galerkin import StepperConfig, _StepPlan, simulate
 from spme.noise import NoiseSpec
 from spme.orlicz import PowerSumYoung, luxemburg_norm
-from spme.triple import Field, SpectralDomain, apply_L, h_inner, h_norm
+from spme.triple import Field, SpectralDomain, h_norm
 
 #: Psi = id and Phi = 0: the drift is L X, so <A(X), u>_H is the V*-V
 #: pairing of L X against u.
@@ -133,14 +133,14 @@ def test_h_pair_rows_are_h_inner():
     pairs = dom.h_pair(X, Y)
     assert pairs.shape == (5,)
     for x, y, p in zip(X, Y, pairs):
-        assert h_inner(dom, Field(dom, x), Field(dom, y)) == p
+        assert dom.h_pair(x, y) == p
     assert h_norm(dom, Field(dom, X[0])) == np.sqrt(dom.h_pair(X[0], X[0]))
 
 
 def test_apply_L_eigenvector():
     dom = SpectralDomain(25)
     s1 = Field.from_values(dom, dom.basis[:, 0])
-    out = apply_L(dom, s1)
+    out = Field(dom, -dom.lam * s1.coeffs)
     np.testing.assert_allclose(out.values, -dom.lam[0] * s1.values, rtol=1e-11)
 
 
@@ -152,7 +152,7 @@ def test_apply_L_matches_stencil_exactly():
     f = dom.x * (1.0 - dom.x)
     padded = np.concatenate(([0.0], f, [0.0]))
     stencil = (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) / dom.h**2
-    out = apply_L(dom, Field.from_values(dom, f))
+    out = Field(dom, -dom.lam * dom.to_spectral(f))
     np.testing.assert_allclose(out.values, stencil, atol=1e-10)
 
 
@@ -160,7 +160,7 @@ def test_inverse_round_trip():
     dom = SpectralDomain(48, alpha=0.5)
     rng = np.random.default_rng(2)
     f = Field.from_values(dom, rng.normal(0, 1, 48))
-    back = Field.from_coeffs(dom, green(dom, -apply_L(dom, f).coeffs))
+    back = Field.from_coeffs(dom, green(dom, dom.lam * f.coeffs))
     np.testing.assert_allclose(back.values, f.values, atol=1e-10)
 
 
@@ -186,8 +186,8 @@ def test_h_inner_eigenvectors():
     dom = SpectralDomain(20)
     s1 = Field.from_values(dom, dom.basis[:, 0])
     s2 = Field.from_values(dom, dom.basis[:, 1])
-    assert h_inner(dom, s1, s1) == pytest.approx(1.0 / dom.lam[0], rel=1e-11)
-    assert h_inner(dom, s1, s2) == pytest.approx(0.0, abs=1e-13)
+    assert dom.h_pair(s1.coeffs, s1.coeffs) == pytest.approx(1.0 / dom.lam[0], rel=1e-11)
+    assert dom.h_pair(s1.coeffs, s2.coeffs) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_h_inner_equals_green_quadrature():
@@ -197,7 +197,7 @@ def test_h_inner_equals_green_quadrature():
     for _ in range(50):
         u = Field.from_values(dom, rng.normal(0, 1, 36))
         v = Field.from_values(dom, rng.normal(0, 1, 36))
-        direct = h_inner(dom, u, v)
+        direct = dom.h_pair(u.coeffs, v.coeffs)
         quad = dom.integrate(u.values * dom.from_spectral(green(dom, v.coeffs)))
         assert direct == pytest.approx(quad, abs=1e-10)
 
@@ -276,7 +276,7 @@ def test_pairing_two_routes_agree():
             A = drift_coeffs(dom, IDENTITY_PSI, 0.0, psi.values, psi.coeffs)
             spectral = dom.h_pair(A, u.coeffs)
             assert quad == pytest.approx(spectral, abs=1e-10)
-            assert h_inner(dom, apply_L(dom, psi), u) == pytest.approx(spectral, abs=1e-10)
+            assert dom.h_pair(-dom.lam * psi.coeffs, u.coeffs) == pytest.approx(spectral, abs=1e-10)
 
 
 def test_embedding_constant():
@@ -307,6 +307,45 @@ def test_domain_validation():
         SpectralDomain(16, alpha=1.5)
     with pytest.raises(ValueError):
         SpectralDomain(16, alpha=0.0)
+    # A fractional n_grid used to build n_grid + 1 points with h = 1/(n_grid + 1),
+    # and True a one-point grid.
+    for bad in (64.5, 64.0, True, np.True_, "64", None):
+        with pytest.raises(ValueError, match=f"n_grid must be an integer, got {bad!r}"):
+            SpectralDomain(bad)
+    for good in (np.int64(12), np.int32(12), np.uint8(12)):
+        dom = SpectralDomain(good)
+        assert type(dom.n_grid) is int and dom.n_grid == 12 and dom.basis.shape == (12, 12)
+        assert dom.h == SpectralDomain(12).h
+
+
+def _placed(a, offset):
+    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(a.size + 16)
+    start = (-buf.__array_interface__["data"][0] % 64 + offset) // 8
+    out = buf[start:start + a.size].reshape(a.shape)
+    out[...] = a
+    assert out.__array_interface__["data"][0] % 64 == offset
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 32, 64, 127, 128, 255, 256, 511, 1024])
+def test_basis_is_aligned_and_its_transforms_do_not_depend_on_the_alignment(n):
+    dom = SpectralDomain(n)
+    B = dom.basis
+    assert B.flags.c_contiguous and B.shape == (n, n)
+    assert B.__array_interface__["data"][0] % 64 == 0
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    reduced = np.outer(idx, idx) % (2 * (n + 1))
+    assert B.tobytes() == (np.sqrt(2.0) * np.sin(np.pi * reduced / (n + 1))).tobytes()
+    # The aligned basis buys speed, not bits: OpenBLAS gives the same bytes
+    # wherever the matrix starts.
+    rng = np.random.default_rng(n)
+    copies = [_placed(B, offset) for offset in (16, 32, 48)]
+    for rows in (1, 2, 8):
+        x = rng.standard_normal((rows, n) if rows > 1 else n)
+        for S in copies:
+            assert dom.from_spectral(x).tobytes() == (x @ S).tobytes()
+            assert dom.to_spectral(x).tobytes() == ((x @ S) * dom.h).tobytes()
 
 
 _MODULES_WITH_ALL = sorted(

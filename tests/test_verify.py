@@ -1,6 +1,8 @@
 """Tests for the trajectory-level verification checks."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from spme.galerkin import StepperConfig, monte_carlo, simulate
 from spme.noise import NoiseSpec, RhoFactor, power_decay_sigma
 from spme.triple import Field, SpectralDomain, h_norm
 from spme.verify import (
+    _LEDGER_BLOCK_BYTES,
     ItoStudy,
+    _compensated_cumsum,
     contraction_test,
     energy_estimate,
     ergodicity_test,
@@ -23,6 +27,7 @@ from spme.verify import (
 
 LINEAR = DriftSpec(psi=PsiSpec(terms=((1.0, 1.0),)), phi=PhiSpec(), mode="A1")
 NO_DRIFT = DriftSpec(psi=PsiSpec(), phi=PhiSpec(), mode="A1")
+PME = DriftSpec(psi=PsiSpec(terms=((1.0, 2.0),)), phi=PhiSpec(), mode="A1")
 ZERO_NOISE = NoiseSpec(sigma=(0.0,))
 
 
@@ -77,6 +82,72 @@ def test_ito_ledger_stochastic_gap_is_small():
     max_res = ito_ledger(traj).max_residual
     scale = np.max(np.sum(traj.coeff_matrix()**2 / dom.lam, axis=1))
     assert max_res < 0.05 * scale
+
+
+def _whole_matrix_ledger(traj):
+    """The ledger's per-step terms evaluated on the whole coefficient matrix at once."""
+    dom, X = traj.dom, traj.coeff_matrix()
+    Y, Z, dW = traj.drift_record, traj.diffusion_record, traj.increments
+    lam_n = dom.lam[: Z.shape[1]]
+    hn = dom.h_pair(X, X)
+    pairing = 2.0 * dom.h_pair(Y, X[:-1])
+    hs = np.sum(Z * Z / lam_n, axis=1)
+    mart = 2.0 * np.sum(Z * dW * X[:-1, : Z.shape[1]] / lam_n, axis=1)
+    increments = (pairing + hs) * np.diff(traj.times) + mart
+    hn_step = dom.h_pair(np.diff(X, axis=0), X[1:] + X[:-1])
+    residuals = np.concatenate([[0.0], _compensated_cumsum(hn_step - increments)])
+    return dict(h_norm_sq=hn, pairing=pairing, hs=hs, martingale=mart, residuals=residuals)
+
+
+def _first_steps(traj, k):
+    return dataclasses.replace(
+        traj, times=traj.times[:k + 1], states=traj.states[:k + 1],
+        drift_record=traj.drift_record[:k], diffusion_record=traj.diffusion_record[:k],
+        increments=traj.increments[:k])
+
+
+_LEDGER_NOISES = {
+    "zero": ZERO_NOISE,
+    "additive": power_decay_sigma(6, 0.05, 1.0),
+    "rho": NoiseSpec(sigma=(0.05, 0.02, 0.01), mult=RhoFactor(0.2, 1.0)),
+}
+
+
+@pytest.mark.parametrize("noise", sorted(_LEDGER_NOISES))
+@pytest.mark.parametrize("scheme, dt", [("explicit", 6.25e-6), ("semi-implicit", 1e-4)])
+def test_ito_ledger_blocks_give_the_whole_matrix_bytes(noise, scheme, dt):
+    # The ledger evaluates its row sums a block of states at a time; every
+    # column must keep the bytes of the whole-matrix evaluation, on both
+    # sides of each block edge and across many blocks.
+    dom = SpectralDomain(256)
+    block = _LEDGER_BLOCK_BYTES // (8 * dom.n_grid)
+    cfg = StepperConfig(dt=dt, T=dt * 4000, n_modes=256, scheme=scheme, record_ito=True)
+    traj = simulate(cfg, dom, PME, _LEDGER_NOISES[noise], _sine_start(dom, 0.4), 3)
+    for k in (1, block - 1, block, block + 1, 4000):
+        part = _first_steps(traj, k)
+        led, ref = ito_ledger(part), _whole_matrix_ledger(part)
+        assert led.times is part.times
+        for name, expect in ref.items():
+            got = getattr(led, name)
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), (k, name)
+
+
+def test_ito_ledger_holds_no_whole_coefficient_matrix():
+    # Room for the block of states, a few block-sized temporaries (256 KiB
+    # each) and the per-step columns (32 KB each).  The whole-matrix
+    # evaluation peaked at 33 MB here, 8 MB per matrix.
+    limit = 2 * 2**20
+    dom = SpectralDomain(256)
+    cfg = StepperConfig(dt=1e-4, T=0.4, n_modes=256, scheme="semi-implicit", record_ito=True)
+    traj = simulate(cfg, dom, PME, ZERO_NOISE, _sine_start(dom, 0.4), 0)
+    assert len(traj.states) == 4001
+    tracemalloc.start()
+    try:
+        ito_ledger(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak
 
 
 def test_ito_refinement_order():
