@@ -50,6 +50,7 @@ from .verify import (
     is_linear_additive,
     ito_refinement_study,
     ou_oracle,
+    ou_z_table,
 )
 
 
@@ -470,28 +471,15 @@ def _cmd_ou_oracle(cfg, dom, drift, noise, stepper, seed, out):
     names = tuple(f"mode_{k}" for k in range(1, stepper.n_modes + 1))
     stats = monte_carlo(stepper, dom, drift, noise, X0, seed, ensemble, names,
                         save_every=save_every)
-    n = stats.n_paths
-    rows, worst = [], 0.0
-    for t in times:
-        idx = int(np.argmin(np.abs(stats.times - t)))
-        mean_exact, var_exact = ou_oracle(dom, noise, X0, stats.times[idx])
-        for k, name in enumerate(names):
-            m_emp = stats.mean_of(name)[idx]
-            v_emp = stats.var_of(name)[idx]
-            se_m = stats.se_of(name)[idx]
-            z_m = (m_emp - mean_exact[k]) / se_m
-            se_v = var_exact[k] * math.sqrt(2.0 / (n - 1))
-            z_v = (v_emp - var_exact[k]) / se_v
-            worst = max(worst, abs(z_m), abs(z_v))
-            rows.append((stats.times[idx], k + 1, m_emp, mean_exact[k], z_m,
-                         v_emp, var_exact[k], z_v))
+    rows = ou_z_table(stats, dom, noise, X0, times)
+    worst = max([0.0] + [abs(row[i]) for row in rows for i in (4, 7)])
     write_csv(out / "ou.csv", ["t", "mode", "mean_emp", "mean_exact", "z_mean", "var_emp",
                                "var_exact", "z_var"], rows)
     ok = worst < 3.0
     status = "PASS" if ok else "FAIL"
     print(f"{status} ou-oracle: max |z| = {worst:.3f} over {2 * len(rows)} "
           f"statistics ({stepper.n_modes} modes x {len(times)} times x "
-          f"2 moments, n={n})")
+          f"2 moments, n={stats.n_paths})")
     return (0 if ok else 1), ["ou.csv"]
 
 

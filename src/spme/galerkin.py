@@ -120,6 +120,15 @@ def write_csv(path, header, rows) -> None:
                               for v in row) + "\n")
 
 
+def _count(name: str, value, least: int) -> int:
+    """An int or np.integer (not a bool) >= least, as a Python int, which cannot wrap."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     dt: float
@@ -135,8 +144,7 @@ class StepperConfig:
             raise ValueError("dt must be positive and finite")
         if not (self.T >= 0 and math.isfinite(self.T)):
             raise ValueError("T must be nonnegative and finite")
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be at least 1")
+        object.__setattr__(self, "n_modes", _count("n_modes", self.n_modes, 1))
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         n = round(self.T / self.dt)
@@ -146,10 +154,7 @@ class StepperConfig:
         # `it == max_iter` test; an infinite tolerance accepts the right side unsolved.
         if not (0 < self.implicit_tol < math.inf):
             raise ValueError("implicit_tol must be positive and finite")
-        if (isinstance(self.implicit_max_iter, bool)
-                or not isinstance(self.implicit_max_iter, (int, np.integer))
-                or self.implicit_max_iter < 1):
-            raise ValueError("implicit_max_iter must be an integer >= 1")
+        _count("implicit_max_iter", self.implicit_max_iter, 1)
 
     @property
     def n_steps(self) -> int:
@@ -191,11 +196,12 @@ class Trajectory:
 
 
 class _StabilityGuard:
-    """Caches sup|Psi'| over the largest state range seen so far.
+    """Caches a proven bound of sup|Psi'| over the largest state range seen so far.
 
     The bound is monotone in the range, so a cached value at a larger cap
     stays valid while the state shrinks; time modulation is absorbed by
-    rescaling to the worst instant.
+    rescaling to the worst instant.  A Psi' that may be negative on the range
+    is backward diffusion, which no dt makes stable, and is refused.
     """
 
     def __init__(self, dom: SpectralDomain, drift: DriftSpec, dt: float, m: int):
@@ -209,10 +215,12 @@ class _StabilityGuard:
     def check(self, s_max: float, t: float) -> None:
         if s_max > self.s_cap:
             cap = 1.25 * s_max + 1e-12
-            p = psi_prime_max(self.psi, t, cap)
-            if self.psi.modulation is not None and p < math.inf:
-                p *= self.psi.a_max / self.psi.a_at(t)
-            self.s_cap, self.p_worst = cap, p
+            lo, p = psi_prime_max(self.psi, t, cap)
+            if lo < 0.0:
+                raise StabilityError(f"explicit step refused: Psi' may be negative (down to "
+                                     f"{lo:.3g}) on the state range [0, {cap:.3g}]: backward "
+                                     "diffusion, which no dt makes stable")
+            self.s_cap, self.p_worst = cap, p * (self.psi.a_max / self.psi.a_at(t))
         value = self.factor * self.p_worst
         if not value <= self.threshold:
             if math.isinf(self.p_worst):
@@ -679,12 +687,9 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     A non-finite moment of finite states (overflow in the reduction) raises
     ``BlowUpError`` at the first save step where it occurs.
     """
-    if ensemble_size < 2:
-        raise ValueError("ensemble_size must be at least 2")
-    if save_every < 1:
-        raise ValueError("save_every must be at least 1")
-    if chunk < 1:
-        raise ValueError("chunk must be at least 1")
+    ensemble_size = _count("ensemble_size", ensemble_size, 2)
+    save_every = _count("save_every", save_every, 1)
+    chunk = _count("chunk", chunk, 1)
     names = tuple(observables)
     check_observables(names, paired=Y0 is not None, n_grid=dom.n_grid)
     starts = _initial_rows(config, dom, noise, [X0] if Y0 is None else [X0, Y0])

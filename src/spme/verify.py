@@ -363,6 +363,27 @@ def ou_oracle(dom: SpectralDomain, noise: NoiseSpec, X0: Field, t: float,
     return mean, var
 
 
+def ou_z_table(stats: StatTable, dom: SpectralDomain, noise: NoiseSpec, X0: Field,
+               times) -> list:
+    """The rows of ``ou.csv``: ``stats``' observables mode_1..mode_m against ``ou_oracle``.
+
+    Per time (read at the nearest save time t) and mode k: (t, k, mean_emp, mean_exact,
+    z_mean, var_emp, var_exact, z_var), with z_var in units of the Gaussian standard
+    error of a sample variance, var_exact sqrt(2/(n-1)).
+    """
+    m, n, rows = len(stats.names), stats.n_paths, []
+    cols = [stats.col(f"mode_{k}") for k in range(1, m + 1)]
+    for t in times:
+        i = int(np.argmin(np.abs(stats.times - t)))
+        mean_exact, var_exact = (v[:m] for v in ou_oracle(dom, noise, X0, stats.times[i]))
+        mean, var = stats.mean[i, cols], stats.var[i, cols]
+        z_mean = (mean - mean_exact) / stats.se[i, cols]
+        z_var = (var - var_exact) / (var_exact * math.sqrt(2.0 / (n - 1)))
+        rows += zip([stats.times[i]] * m, range(1, m + 1), mean, mean_exact, z_mean,
+                    var, var_exact, z_var)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Ergodic comparison of two starts
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from spme.verify import (
     extinction_time,
     ito_ledger,
     ito_refinement_study,
-    ou_oracle,
+    ou_z_table,
 )
 
 _REPORT = Path(__file__).resolve().parents[1] / "acceptance_report.txt"
@@ -331,17 +331,8 @@ def _ou_z_scores(seed: int):
     names = tuple(f"mode_{k}" for k in range(1, 9))
     stats = monte_carlo(cfg, dom, LINEAR, noise, X0, seed, 10_000, names,
                         save_every=400)
-    n = stats.n_paths
-    zs = []
-    for t in (0.1, 0.5, 2.0):
-        idx = int(np.argmin(np.abs(stats.times - t)))
-        mean_exact, var_exact = ou_oracle(dom, noise, X0, stats.times[idx])
-        for k, name in enumerate(names):
-            z_mean = (stats.mean_of(name)[idx] - mean_exact[k]) / stats.se_of(name)[idx]
-            z_var = (stats.var_of(name)[idx] - var_exact[k]) / (
-                var_exact[k] * math.sqrt(2.0 / (n - 1)))
-            zs.extend([abs(z_mean), abs(z_var)])
-    return np.array(zs)
+    rows = ou_z_table(stats, dom, noise, X0, (0.1, 0.5, 2.0))
+    return np.array([abs(row[i]) for row in rows for i in (4, 7)])  # z_mean, z_var
 
 
 def test_criterion_07_linear_closed_form():

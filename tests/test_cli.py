@@ -167,6 +167,19 @@ def test_check_conditions_pass_and_fail(tmp_path, capsys):
     assert "FAIL A1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("r", [0.1, 0.3])
+def test_check_conditions_passes_hoelder_fast_diffusion(tmp_path, capsys, r):
+    # Psi = |s|^r sign s is only Hoelder-r at 0 but continuous, so H1 holds by
+    # construction; a sampled refinement ratio used to fail it for r <= 0.4.
+    cfg = _write_config(tmp_path, domain={"n_grid": 32, "alpha": 1.0},
+                        drift={"mode": "A1", "psi": {"terms": [[1.0, r]]}})
+    assert _run("check-conditions", "--config", cfg, "--out", tmp_path / "out") == 0
+    out = capsys.readouterr().out
+    assert "PASS A1" in out and "PASS H" in out
+    header = (tmp_path / "out" / "conditions.csv").read_text().splitlines()[0]
+    assert "margin_h1" not in header and "margin_h2" in header
+
+
 def test_check_conditions_A2_writes_the_closed_form_budget(tmp_path, capsys):
     # Phi_0 = s is paid for in L^2, where the L^{-1} bound is exactly 1/lam_1;
     # with Phi_0 and Young coefficients c = a = 1, eps = c / (a lam_1) = 1/lam_1.
@@ -181,7 +194,7 @@ def test_check_conditions_A2_writes_the_closed_form_budget(tmp_path, capsys):
         "report,const_c,const_c1,const_c2,const_c3,const_c_emp_h2,const_c_h2,const_c_psi3,"
         "const_delta2_N,const_delta2_Nstar,const_delta_1,const_delta_2,const_eps,"
         "const_eps_implied,const_f,const_f_h3,const_g_h4,const_hs0_sq,const_linv_op_norm_p2,"
-        "const_linv_op_norm_p4,const_m_E,const_sup_h,margin_h1,margin_h2,margin_h3,margin_h4,"
+        "const_linv_op_norm_p4,const_m_E,const_sup_h,margin_h2,margin_h3,margin_h4,"
         "margin_phi1,margin_phi2,margin_psi1_prime,n_failures,n_samples,passed")
     row = dict(zip(header.split(","), a2_row.split(",")))
     h = dict(zip(header.split(","), h_row.split(",")))
@@ -206,7 +219,7 @@ def test_check_conditions_A1_modulated_states_one_sandwich_constant(tmp_path, ca
     assert header == (
         "report,const_c,const_c1,const_c2,const_c3,const_c_emp_h2,const_c_h2,const_c_psi3,"
         "const_delta2_N,const_delta2_Nstar,const_eps,const_f,const_f_h3,const_g_h4,"
-        "const_hs0_sq,const_m_E,const_psi4_dual_at_zero,const_sup_h,margin_h1,margin_h2,"
+        "const_hs0_sq,const_m_E,const_psi4_dual_at_zero,const_sup_h,margin_h2,"
         "margin_h3,margin_h4,margin_psi1,n_failures,n_samples,passed")
     a1 = dict(zip(header.split(","), a1_row.split(",")))
     h = dict(zip(header.split(","), h_row.split(",")))

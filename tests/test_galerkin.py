@@ -70,10 +70,10 @@ def test_config_validation():
     ("implicit_tol", 0.0, "implicit_tol must be positive and finite"),
     ("implicit_tol", math.inf, "implicit_tol must be positive and finite"),
     ("implicit_tol", math.nan, "implicit_tol must be positive and finite"),
-    ("implicit_max_iter", 0, "implicit_max_iter must be an integer >= 1"),
-    ("implicit_max_iter", 2.5, "implicit_max_iter must be an integer >= 1"),
-    ("implicit_max_iter", math.inf, "implicit_max_iter must be an integer >= 1"),
-    ("implicit_max_iter", True, "implicit_max_iter must be an integer >= 1"),
+    ("implicit_max_iter", 0, "implicit_max_iter must be at least 1"),
+    ("implicit_max_iter", 2.5, "implicit_max_iter must be an integer, got 2.5"),
+    ("implicit_max_iter", math.inf, "implicit_max_iter must be an integer, got inf"),
+    ("implicit_max_iter", True, "implicit_max_iter must be an integer, got True"),
 ])
 def test_config_refuses_newton_settings_that_skip_or_never_end_the_solve(key, value, message):
     # A non-integer budget never meets the loop's `it == max_iter` test, so a
@@ -81,6 +81,14 @@ def test_config_refuses_newton_settings_that_skip_or_never_end_the_solve(key, va
     # accepts the right side unsolved, a NaN one accepts nothing.
     with pytest.raises(ValueError, match=f"^{message}$"):
         StepperConfig(dt=1e-3, T=1e-3, n_modes=4, scheme="semi-implicit", **{key: value})
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True, np.True_, "4", None])
+def test_config_refuses_a_non_integer_n_modes(value):
+    # A float would reach the slices of the step as a bad index, and True would run one mode.
+    with pytest.raises(ValueError, match=r"^n_modes must be an integer, got "):
+        StepperConfig(dt=0.1, T=1.0, n_modes=value)
+    assert StepperConfig(dt=0.1, T=1.0, n_modes=np.int32(4)).n_modes == 4
 
 
 def test_step_zero_drift_zero_noise_identity():
@@ -579,6 +587,25 @@ def test_stability_guard_refuses_singular_derivative():
         plan.step(0.0, X.coeffs[None], np.zeros((1, 1)))
 
 
+def test_stability_guard_refuses_backward_diffusion():
+    # Psi(s) = s - 0.5|s|s has Psi'(a) = 1 - a, which is -2.75 at the guard's
+    # cap 1.25 * 3: backward diffusion, which no dt makes stable, is refused
+    # before the first step, however small dt is.
+    dom = SpectralDomain(15)  # x = 0.5 is a grid point
+    backward = DriftSpec(psi=PsiSpec(terms=((1.0, 1.0), (-0.5, 2.0))), phi=PhiSpec(),
+                         mode="A1")
+    X0 = Field.from_values(dom, 3.0 * np.sin(np.pi * dom.x))
+    cfg = StepperConfig(dt=1e-6, T=1e-4, n_modes=15)
+    plan = _StepPlan(cfg, dom, backward, ZERO_NOISE)
+    with pytest.raises(StabilityError, match=r"Psi' may be negative \(down to -2\.75\)") as err:
+        plan.step(0.0, X0.coeffs[None], np.zeros((1, 1)))
+    assert (err.value.path, err.value.step) == (None, None)
+    with pytest.raises(StabilityError, match="backward diffusion") as err:
+        simulate(cfg, dom, backward, ZERO_NOISE, X0, 0, path_idx=4)
+    assert (err.value.path, err.value.step) == (4, 1)
+    assert str(err.value).endswith("(path 4, step 1)")
+
+
 def test_blow_up_carries_step_index():
     dom = SpectralDomain(4)
     growth = DriftSpec(psi=PsiSpec(), phi=PhiSpec(h_const=800.0), mode="A1")
@@ -881,6 +908,28 @@ def test_monte_carlo_rejects_chunk_below_one(chunk):
     dom, nz, X0, cfg = _small_setup()
     with pytest.raises(ValueError, match="chunk must be at least 1"):
         monte_carlo(cfg, dom, PME, nz, X0, 0, 4, ("h_norm_sq",), chunk=chunk)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ensemble_size", 4.0), ("ensemble_size", True), ("save_every", 2.5),
+    ("save_every", np.True_), ("chunk", 2.5), ("chunk", True), ("chunk", "2"),
+])
+def test_monte_carlo_refuses_non_integer_counts_by_name(key, value):
+    dom, nz, X0, cfg = _small_setup()
+    counts = dict(ensemble_size=4, save_every=1, chunk=1024)
+    counts[key] = value
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+        monte_carlo(cfg, dom, PME, nz, X0, 0, observables=("h_norm_sq",), **counts)
+
+
+def test_monte_carlo_takes_numpy_integer_counts():
+    dom, nz, X0, cfg = _small_setup()
+    plain = monte_carlo(cfg, dom, PME, nz, X0, 0, 5, ("h_norm_sq",), save_every=8, chunk=2)
+    numpy = monte_carlo(cfg, dom, PME, nz, X0, 0, np.int64(5), ("h_norm_sq",),
+                        save_every=np.int32(8), chunk=np.uint8(2))
+    np.testing.assert_array_equal(numpy.mean, plain.mean)
+    np.testing.assert_array_equal(numpy.var, plain.var)
+    assert numpy.n_paths == 5
 
 
 @pytest.mark.parametrize("paired", [False, True], ids=["unpaired", "paired"])

@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` rebinds module globals and methods of ``src/spme`` to
 time them; a rename in ``src`` makes ``Tracer()`` raise, and a call path that
 bypasses a wrapper makes ``layer_metrics`` raise.  This runs both checks on a
-short ``simulate_pair`` and a short paired ``monte_carlo``, and counts the
-draw calls that an ensemble makes on its producer thread, one per block.
+short ``simulate_pair``, a short paired ``monte_carlo``, an explicit ensemble
+and an explicit ledger run, and counts the draw calls that an ensemble makes
+on its producer thread, one per block.
 """
 
 import importlib.util
@@ -80,6 +81,31 @@ def test_tracer_counts_the_draws_of_the_producer_thread(monkeypatch):
         tracer.uninstall()
     metrics, _ = tracer.layer_metrics(time.perf_counter() - start,
                                       ("triple.transform", "noise.increments",
-                                       "drift.drift_coeffs", "galerkin.monte_carlo"))
+                                       "drift.drift_coeffs", "drift.psi_prime_max",
+                                       "galerkin.monte_carlo"))
     assert metrics["noise.increments.calls"] == 5
     assert metrics["noise.increments.bytes"] == 4 * 40 * 2 * 8
+    # The state shrinks from its start, so the guard bounds Psi' once.
+    assert metrics["drift.psi_prime_max.calls"] == 1
+
+
+def test_tracer_hits_the_spans_of_an_explicit_ledger_run(monkeypatch):
+    # A single explicit path that records the Ito ledger: its stability guard
+    # must reach drift.psi_prime_max through the galerkin module global.
+    spans = _load_spans(monkeypatch)
+    dom = SpectralDomain(32)
+    X0 = Field.from_values(dom, 0.4 * np.sin(np.pi * dom.x))
+    cfg = galerkin.StepperConfig(dt=1e-4, T=0.01, n_modes=32, record_ito=True)
+
+    tracer = spans.Tracer()
+    start = time.perf_counter()
+    tracer.install()
+    try:
+        traj = galerkin.simulate(cfg, dom, PME, NoiseSpec(sigma=(0.0,)), X0, 3)
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracer.layer_metrics(time.perf_counter() - start,
+                                      ("galerkin.simulate", "drift.psi_prime_max",
+                                       "drift.drift_coeffs", "triple.transform"))
+    assert traj.drift_record.shape == (cfg.n_steps, dom.n_grid)
+    assert metrics["drift.psi_prime_max.calls"] == 1
