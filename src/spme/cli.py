@@ -432,8 +432,8 @@ def _cmd_extinction(cfg, dom, drift, noise, stepper, seed, out):
         raise ConfigError("extinction.eps", "eps must be positive")
     X0 = _initial(cfg, dom, seed)
     traj = simulate(stepper, dom, drift, noise, X0, seed, 0)
-    sup = np.array([np.max(np.abs(s.values)) for s in traj.states])
-    hn = np.array([h_norm(dom, s) for s in traj.states])
+    sup = np.array([np.max(np.abs(dom.from_spectral(row))) for row in traj.states])
+    hn = np.array([np.sqrt(dom.h_pair(row, row)) for row in traj.states])
     write_csv(out / "extinction.csv", ["t", "sup_abs", "h_norm"],
               np.column_stack([traj.times, sup, hn]).tolist())
     te = extinction_time(traj, eps)
@@ -571,8 +571,7 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     except BlowUpError as exc:
-        path = "" if exc.path is None else f"path {exc.path}, "
-        print(f"blow-up: {exc} ({path}step {exc.step})", file=sys.stderr)
+        print(f"blow-up: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # stability refusals, convergence failures, ...
         print(f"error: {exc}", file=sys.stderr)

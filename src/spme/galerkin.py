@@ -51,51 +51,35 @@ _JACOBIAN_FLOOR = 1e-8
 _BLOCK_BYTES = 1 << 23
 
 
-class BlowUpError(RuntimeError):
-    """State left the finite range.
+class StepError(RuntimeError):
+    """A step failed on one path.
 
-    ``path`` is the first non-finite row (as a path index) and ``step`` the
-    1-based time step, None where unknown.
+    ``path`` is the path index and ``step`` the 1-based time step, None
+    where unknown.  A step sets ``path`` to its batch row, and the time loop
+    turns the row into the path index and sets ``step``; the message ends in
+    ``(path p, step s)``, without a part that is None.
     """
 
-    def __init__(self, message: str, step: int | None = None, path: int | None = None):
+    def __init__(self, message: str, path: int | None = None, step: int | None = None):
         super().__init__(message)
-        self.step, self.path = step, path
-
-
-class StabilityError(RuntimeError):
-    """Explicit stability guard violated.
-
-    ``path`` is the row holding the batch's largest |value| (as a path index)
-    and ``step`` the 1-based time step; every time loop sets both, and only a
-    direct ``_StepPlan.step`` call leaves them None.
-    """
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.path = self.step = None
+        self.path, self.step = path, step
 
     def __str__(self):
-        where = "" if self.step is None else f" (path {self.path}, step {self.step})"
-        return super().__str__() + where
+        where = ", ".join(f"{name} {v}" for name, v in (("path", self.path), ("step", self.step))
+                          if v is not None)
+        return super().__str__() + (f" ({where})" if where else "")
 
 
-class ConvergenceError(RuntimeError):
-    """Newton did not reach the residual tolerance.
+class BlowUpError(StepError):
+    """State left the finite range; ``path`` is the first non-finite row."""
 
-    ``path`` is the first failing row in index order (the solver sees batch
-    rows; the time loop turns it into the path index) and
-    ``step`` the 1-based time step, None where unknown.
-    """
 
-    def __init__(self, detail: str, path: int | None = None, step: int | None = None):
-        super().__init__(detail)
-        self.detail, self.path, self.step = detail, path, step
+class StabilityError(StepError):
+    """Explicit stability guard violated; ``path`` is the row holding the largest |value|."""
 
-    def __str__(self):
-        path = "" if self.path is None else f" for path {self.path}"
-        step = "" if self.step is None else f" at step {self.step}"
-        return f"implicit solve{path}{step} {self.detail}"
+
+class ConvergenceError(StepError):
+    """Newton did not reach the residual tolerance; ``path`` is the first failing row."""
 
 
 class UnsupportedSchemeError(RuntimeError):
@@ -165,10 +149,14 @@ class StepperConfig:
 class Trajectory:
     """One simulated path.
 
-    ``drift_record`` / ``diffusion_record`` / ``increments`` are populated
-    only when the configuration asked for the Ito ledger: per step k they
-    hold the spectral coordinates of A(t_k, X_k), the per-mode diffusion
-    coefficients rho(|X_k|_H) sigma, and the Brownian increments consumed.
+    ``states`` holds the coefficient row of each saved time, one
+    ``(n_grid,)`` array per entry of ``times``.  ``drift_record`` /
+    ``diffusion_record`` / ``increments`` are populated only when the
+    configuration asked for the Ito ledger: per step k they hold the
+    spectral coordinates of A(t_k, X_k), the per-mode diffusion coefficients
+    rho(|X_k|_H) sigma of the noise the step keeps (0 on the modes from
+    ``n_modes`` on, which the step drops), and the Brownian increments
+    consumed.
     """
 
     dom: SpectralDomain
@@ -186,12 +174,12 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
     def coeff_matrix(self) -> np.ndarray:
-        return np.stack([s.coeffs for s in self.states])
+        return np.stack(self.states)
 
     def to_csv(self, path) -> None:
         header = ["t"] + [f"mode_{k}" for k in range(1, self.dom.n_grid + 1)]
         # One row at a time: the table is never held whole.
-        write_csv(path, header, ([t, *s.coeffs.tolist()]
+        write_csv(path, header, ([t, *s.tolist()]
                                  for t, s in zip(self.times.tolist(), self.states)))
 
 
@@ -212,29 +200,25 @@ class _StabilityGuard:
         self.s_cap = -1.0
         self.p_worst = 0.0
 
-    def check(self, s_max: float, t: float) -> None:
+    def refusal(self, s_max: float, t: float) -> str | None:
+        """Why a step at t from states up to s_max is refused, or None."""
         if s_max > self.s_cap:
             cap = 1.25 * s_max + 1e-12
             lo, p = psi_prime_max(self.psi, t, cap)
             if lo < 0.0:
-                raise StabilityError(f"explicit step refused: Psi' may be negative (down to "
-                                     f"{lo:.3g}) on the state range [0, {cap:.3g}]: backward "
-                                     "diffusion, which no dt makes stable")
+                return (f"explicit step refused: Psi' may be negative (down to {lo:.3g}) on "
+                        f"the state range [0, {cap:.3g}]: backward diffusion, which no dt "
+                        "makes stable")
             self.s_cap, self.p_worst = cap, p * (self.psi.a_max / self.psi.a_at(t))
         value = self.factor * self.p_worst
-        if not value <= self.threshold:
-            if math.isinf(self.p_worst):
-                raise StabilityError(
-                    "explicit step refused: Psi' is unbounded on the state range "
-                    f"[0, {self.s_cap:.3g}] (singular diffusion); "
-                    "use the semi-implicit scheme"
-                )
-            dt_max = self.dt * self.threshold / value
-            raise StabilityError(
-                f"explicit step unstable at t={t:.6g}: dt*lam_m*sup|Psi'| = "
-                f"{value:.3g} > 2; reduce dt below {dt_max:.3g} "
-                "or use the semi-implicit scheme"
-            )
+        if value <= self.threshold:
+            return None
+        if math.isinf(self.p_worst):
+            return ("explicit step refused: Psi' is unbounded on the state range "
+                    f"[0, {self.s_cap:.3g}] (singular diffusion); use the semi-implicit scheme")
+        return (f"explicit step unstable at t={t:.6g}: dt*lam_m*sup|Psi'| = {value:.3g} > 2; "
+                f"reduce dt below {self.dt * self.threshold / value:.3g} "
+                "or use the semi-implicit scheme")
 
 
 def _tridiag_L(vals: np.ndarray, h: float) -> np.ndarray:
@@ -343,7 +327,7 @@ def _newton_implicit(dom, psi, t, b, dt, tol, max_iter):
         np.fmin(r_best, rnorm, out=r_best)
     row = int(act[0])
     raise ConvergenceError(
-        f"did not converge within {max_iter} iterations "
+        f"implicit solve did not converge within {max_iter} iterations "
         f"(best residual {r_best[row]:.3e}, tolerance {tol:.1e})", path=row
     )
 
@@ -372,8 +356,10 @@ class _StepPlan:
         # the synthesis of the +-0 noise coefficients would change no bit.
         # The explicit step adds it: there + noise can turn -0.0 into +0.0.
         self.adds_noise = self.explicit or self.phi0 or bool(self.sigma.any())
-        # Additive noise: the ledger record rho sigma is sigma on every row.
-        self._sigma_rows = np.broadcast_to(self.sigma, (1, len(self.sigma)))
+        # Additive noise: the ledger record rho sigma is sigma on every row,
+        # 0 on the modes the step drops.
+        self._kept_sigma = np.where(np.arange(len(self.sigma)) < config.n_modes, self.sigma, 0.0)
+        self._sigma_rows = np.broadcast_to(self._kept_sigma, (1, len(self.sigma)))
         self.guard = _StabilityGuard(dom, drift, config.dt, config.n_modes)
 
     def step(self, t, C, dW, records=False):
@@ -382,7 +368,9 @@ class _StepPlan:
         C stacks B blocks of P rows, and every block takes the increments dW
         (P, n_modes); row p has its own amplitude rho(|C_p|_H).  Returns the
         new batch and, when ``records`` is set, the pair (A(t, C),
-        rho(|C|_H) sigma) that the Ito ledger needs, else None.
+        rho(|C|_H) sigma) that the Ito ledger needs, with the noise of the
+        modes from ``n_modes`` on, which the step drops, booked as 0; else
+        None.
         """
         config, dom, drift, noise = self.config, self.dom, self.drift, self.noise
         dt, m = config.dt, config.n_modes
@@ -397,8 +385,9 @@ class _StepPlan:
         values = dom.from_spectral(C)
         if self.explicit:
             s_max = float(np.abs(values).max())
-            if math.isfinite(s_max):
-                self.guard.check(s_max, t)
+            why = self.guard.refusal(s_max, t) if math.isfinite(s_max) else None
+            if why:
+                raise StabilityError(why, path=int(np.argmax(np.abs(values).max(axis=-1))))
             A = drift_coeffs(dom, drift, t, values, C)
             new = C + dt * A
             new += noise_c
@@ -419,8 +408,10 @@ class _StepPlan:
             return new, None
         if noise.mult is None:
             if len(self._sigma_rows) != len(C):
-                self._sigma_rows = np.broadcast_to(z, (len(C), noise.n_modes))
+                self._sigma_rows = np.broadcast_to(self._kept_sigma, (len(C), noise.n_modes))
             z = self._sigma_rows
+        else:
+            z[:, m:] = 0.0  # the step drops these modes, noise included
         return new, (A, z)
 
 
@@ -443,28 +434,21 @@ def _time_loop(plan: _StepPlan, C, increments, first_path, records=False):
     (P, n_modes), numbered from ``first_path``; C stacks blocks of P rows (X,
     then Y in a paired run) and every block takes the same increments.
     ``rec`` is the ledger record of the step that led to C_k (None at k = 0
-    or without ``records``).  Step failures leave with the path and the step.
+    or without ``records``).  A step failure leaves as a ``StepError`` whose
+    batch row is turned into its path, with the step.
     """
-    dom, dt = plan.dom, plan.config.dt
+    dt = plan.config.dt
     yield 0, 0.0, C, None
     for k, dW in zip(range(plan.config.n_steps), increments):
         t = k * dt
-        P = len(dW)
         try:
             C, rec = plan.step(t, C, dW, records)
-        except ConvergenceError as err:
-            err.path, err.step = first_path + err.path % P, k + 1
+            if not np.isfinite(C).all():
+                raise BlowUpError(f"non-finite state at t={t + dt:.6g}",
+                                  path=int(np.argmin(np.isfinite(C).all(axis=-1))))
+        except StepError as err:
+            err.path, err.step = first_path + err.path % len(dW), k + 1
             raise
-        except StabilityError as err:
-            row = int(np.argmax(np.abs(dom.from_spectral(C)).max(axis=-1)))
-            err.path, err.step = first_path + row % P, k + 1
-            raise
-        if not np.isfinite(C).all():
-            row = int(np.argmin(np.isfinite(C).all(axis=-1)))
-            raise BlowUpError(
-                f"non-finite state at step {k + 1} (t={t + dt:.6g})", step=k + 1,
-                path=first_path + row % P,
-            )
         yield k + 1, (k + 1) * dt, C, rec
 
 
@@ -486,7 +470,7 @@ def _simulate_rows(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
         if increments.shape != (n_steps, noise.n_modes):
             raise ValueError("increments must have shape (n_steps, n_modes)")
 
-    states = [[] for _ in starts]
+    states = [[] for _ in starts]  # each step's rows, views of its batch
     drift_rec = np.empty((len(starts), n_steps, dom.n_grid)) if config.record_ito else None
     diff_rec = np.empty((len(starts), n_steps, noise.n_modes)) if config.record_ito else None
     # Overflow is the blow-up that the time loop reports; keep it silent.
@@ -494,7 +478,7 @@ def _simulate_rows(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
         for k, _, C, rec in _time_loop(plan, C0, increments[:, None], path_idx,
                                        config.record_ito):
             for rows, row in zip(states, C):
-                rows.append(Field.from_coeffs(dom, row))
+                rows.append(row)
             if rec is not None:
                 drift_rec[:, k - 1], diff_rec[:, k - 1] = rec
 
@@ -639,10 +623,11 @@ def _increment_steps(noise: NoiseSpec, config: StepperConfig, master_seed: int,
     """Yield each step's increments of paths first..first+P-1, shape (P, n_modes).
 
     Every path keeps its own stream, continued one time block at a time, so
-    the numbers are those of a whole-path draw.  One worker thread draws
-    block k+1 while the caller steps block k, in one block-form
-    ``increments_for_path`` call that fills each path's rows from its own
-    stream and scales the block once.  The two blocks are path-major
+    the numbers are those of a whole-path draw.  Block 0 is drawn on the
+    calling thread; then one worker thread draws block k+1 while the caller
+    steps block k, so a one-block batch starts no thread.  Each block is one
+    block-form ``increments_for_path`` call that fills each path's rows from
+    its own stream and scales the block once.  The two blocks are path-major
     (P, width, n_modes) arrays of at most ``_BLOCK_BYTES`` each, and step j
     of a block is the strided view ``block[:, j]``.  An error in a draw is
     raised here as it is; returning, raising or closing the generator joins
@@ -659,13 +644,13 @@ def _increment_steps(noise: NoiseSpec, config: StepperConfig, master_seed: int,
         return increments_for_path(noise, n, config.dt, master_seed, first,
                                    stream=streams, out=blocks[j % 2][:, :n])
 
+    block = draw(0)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        drawn = worker.submit(draw, 0)
-        for j in range(len(starts)):
-            block = drawn.result()
-            if j + 1 < len(starts):
-                drawn = worker.submit(draw, j + 1)
+        for j in range(1, len(starts)):
+            drawn = worker.submit(draw, j)
             yield from block.swapaxes(0, 1)
+            block = drawn.result()
+    yield from block.swapaxes(0, 1)
 
 
 def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
@@ -679,11 +664,11 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
     the size past which the cost per path-step stops falling.  Increments are
     drawn in time blocks and each save time is reduced as the loop reaches
     it, so memory is O(chunk * n_grid) plus two blocks (``_BLOCK_BYTES``
-    each), whatever the number of steps.  Each batch's blocks are drawn on a
-    worker thread, which is joined before this returns or raises.  Batch
-    moments are combined with the parallel mean/M2 merge.  The result is
-    bitwise reproducible for a fixed chunk; other chunkings agree up to
-    rounding (see the module docstring).
+    each), whatever the number of steps.  Each batch's blocks after the
+    first are drawn on a worker thread, which is joined before this returns
+    or raises.  Batch moments are combined with the parallel mean/M2 merge.
+    The result is bitwise reproducible for a fixed chunk; other chunkings
+    agree up to rounding (see the module docstring).
     A non-finite moment of finite states (overflow in the reduction) raises
     ``BlowUpError`` at the first save step where it occurs.
     """
@@ -726,8 +711,8 @@ def monte_carlo(config: StepperConfig, dom: SpectralDomain, drift: DriftSpec,
             finite = np.isfinite(total_mean).all(axis=-1) & np.isfinite(total_M2).all(axis=-1)
             if not finite.all():
                 step = save_idx[int(np.argmin(finite))]
-                raise BlowUpError(f"non-finite ensemble moment at step {step} "
-                                  f"(t={step * config.dt:.6g})", step=step)
+                raise BlowUpError(f"non-finite ensemble moment at t={step * config.dt:.6g}",
+                                  step=step)
 
     var = total_M2 / (total_n - 1)
     var = np.maximum(var, 0.0)

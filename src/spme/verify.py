@@ -92,12 +92,12 @@ def ito_ledger(traj: Trajectory) -> ItoLedger:
     # X_k with X_{k+1}.
     rows = max(1, _LEDGER_BLOCK_BYTES // (8 * dom.n_grid))
     X = np.empty((min(rows, n_steps) + 1, dom.n_grid))
-    X[0] = states[0].coeffs
+    X[0] = states[0]
     hn[0] = dom.h_pair(X[0], X[0])
     for a in range(0, n_steps, rows):
         b = min(a + rows, n_steps)
         X_k, X_next = X[:b - a], X[1:b - a + 1]
-        np.stack([s.coeffs for s in states[a + 1:b + 1]], out=X_next)
+        np.stack(states[a + 1:b + 1], out=X_next)
         hn[a + 1:b + 1] = dom.h_pair(X_next, X_next)
         pairing[a:b] = 2.0 * dom.h_pair(Y[a:b], X_k)
         Z_k = Z[a:b]
@@ -322,8 +322,8 @@ def extinction_time(traj: Trajectory, eps: float):
     """First saved time with sup-norm below eps, or None."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    for t, state in zip(traj.times, traj.states):
-        if np.max(np.abs(state.values)) < eps:
+    for t, row in zip(traj.times, traj.states):
+        if np.max(np.abs(traj.dom.from_spectral(row))) < eps:
             return float(t)
     return None
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -264,7 +265,8 @@ def test_blow_up_exit_code(tmp_path, capsys):
         stepper={"dt": 0.01, "T": 10.0, "n_modes": 8},
         noise={"sigma0": 0.0, "decay": 1.0, "n_modes": 1})
     assert _run("simulate", "--config", cfg, "--out", tmp_path / "out") == 3
-    assert "step" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"blow-up: non-finite state at t=\S+ \(path 0, step \d+\)\n", err), err
 
 
 def test_moment_overflow_exit_code_names_the_step(tmp_path, capsys):
@@ -755,8 +757,8 @@ def test_ito_check_steps_with_the_stepper_newton_settings(tmp_path, capsys):
     for subcommand in ("simulate", "ito-check"):
         assert _run(subcommand, "--config", cfg, "--out", tmp_path / subcommand) == 1
         errors.append(capsys.readouterr().err)
-    assert errors[0].startswith("error: implicit solve for path 0 at step 1 did not converge "
-                                "within 1 iterations")
+    assert errors[0].startswith("error: implicit solve did not converge within 1 iterations")
+    assert errors[0].endswith(" (path 0, step 1)\n")
     assert errors[1] == errors[0]
 
 

@@ -29,6 +29,7 @@ from spme.galerkin import (
     BlowUpError,
     ConvergenceError,
     StabilityError,
+    StepError,
     StepperConfig,
     Trajectory,
     UnsupportedSchemeError,
@@ -252,7 +253,7 @@ def _newton_one_row(dom, psi, t, b, dt, tol, max_iter):
         r_best = min(r_best, rnorm)
     if rnorm <= tol:
         return u, iters, backtracks
-    raise ConvergenceError(f"did not converge within {max_iter} iterations "
+    raise ConvergenceError(f"implicit solve did not converge within {max_iter} iterations "
                            f"(best residual {r_best:.3e}, tolerance {tol:.1e})")
 
 
@@ -313,8 +314,8 @@ def test_batched_newton_reports_first_failing_row():
     with pytest.raises(ConvergenceError) as err:
         _newton_implicit(dom, psi, 0.0, b, 0.01, 1e-10, 3)
     assert err.value.path == 2 and err.value.step is None
-    assert err.value.detail == ref.value.detail
-    assert str(err.value) == f"implicit solve for path 2 {ref.value.detail}"
+    assert err.value.args == ref.value.args
+    assert str(err.value) == f"{ref.value.args[0]} (path 2)"
 
 
 @pytest.mark.parametrize("name", sorted(_NEWTON_PSIS))
@@ -339,7 +340,7 @@ def test_batched_newton_non_finite_row_leaves_as_nan(name):
             assert isinstance(refs[6], ConvergenceError)
             with pytest.raises(ConvergenceError) as err:
                 _newton_implicit(dom, psi, 0.0, b, 0.01, 1e-10, 100)
-            assert err.value.path == 6 and err.value.detail == refs[6].detail
+            assert err.value.path == 6 and err.value.args == refs[6].args
             return
         u = _newton_implicit(dom, psi, 0.0, b, 0.01, 1e-10, 100)
     nan_rows = {3, 6} if name == "porous-medium" else {3}
@@ -366,7 +367,7 @@ def test_batched_newton_redoes_an_overflowed_iteration_at_no_cost():
             _newton_one_row(dom, psi, 0.0, row, 0.01, 1e-10, its - 1)
         with pytest.raises(ConvergenceError) as err:
             _newton_implicit(dom, psi, 0.0, b, 0.01, 1e-10, its - 1)
-    assert err.value.path == 1 and err.value.detail == short.value.detail
+    assert err.value.path == 1 and err.value.args == short.value.args
 
 
 def test_semi_implicit_overflowed_row_costs_one_newton_solve(monkeypatch):
@@ -462,7 +463,8 @@ def test_convergence_error_names_path_and_step():
     X0 = Field.from_values(dom, 3.0 * np.sin(np.pi * dom.x))
     cfg = StepperConfig(dt=5.0, T=10.0, n_modes=32, scheme="semi-implicit",
                         implicit_max_iter=1)
-    with pytest.raises(ConvergenceError, match="for path 5 at step 1 did not") as err:
+    with pytest.raises(ConvergenceError, match=r"^implicit solve did not converge .*"
+                                               r"\(path 5, step 1\)$") as err:
         simulate(cfg, dom, PME, ZERO_NOISE, X0, 0, path_idx=5)
     assert (err.value.path, err.value.step) == (5, 1)
 
@@ -484,6 +486,8 @@ def test_monte_carlo_convergence_error_names_path(seed, start, path):
         monte_carlo(cfg, dom, PME, nz, X0, seed, 6, ("dist_sq",), Y0=Y0, chunk=2)
     assert ens.value.path == sim.value.path == path
     assert ens.value.step == sim.value.step
+    assert str(ens.value) == str(sim.value)
+    assert str(ens.value).endswith(f" (path {path}, step {sim.value.step})")
 
 
 # Zero starts driven by noise, so the paths part ways; at these seeds path 5
@@ -520,6 +524,20 @@ def test_step_failures_name_path_and_step(error, scheme, n_grid, drift, sigma, d
                             chunk=chunk)
         assert (sim.value.path, sim.value.step) == (5, steps)
         assert (ens.value.path, ens.value.step) == (first, steps)
+        assert str(sim.value).endswith(f" (path 5, step {steps})")
+        assert str(ens.value).endswith(f" (path {first}, step {steps})")
+
+
+def test_step_errors_share_one_located_base():
+    # Every step failure is a StepError; its message ends in the parts of
+    # (path p, step s) that are known.
+    for error in (BlowUpError, StabilityError, ConvergenceError):
+        assert issubclass(error, StepError) and issubclass(error, RuntimeError)
+        assert str(error("m")) == "m"
+        assert str(error("m", path=3)) == "m (path 3)"
+        assert str(error("m", step=2)) == "m (step 2)"
+        err = error("m", path=3, step=2)
+        assert str(err) == "m (path 3, step 2)" and err.args == ("m",)
 
 
 @pytest.mark.parametrize("chunk", [8, 3])
@@ -537,7 +555,8 @@ def test_moment_overflow_of_finite_states_is_blow_up(chunk):
         M2 = np.sum((x - x.mean(axis=1, keepdims=True)) ** 2, axis=1)
     first = int(np.argmin(np.isfinite(M2)))
     assert 10 < first < cfg.n_steps
-    with pytest.raises(BlowUpError, match=f"moment at step {first} ") as err:
+    where = rf"moment at t={first * cfg.dt:.6g} \(step {first}\)$"
+    with pytest.raises(BlowUpError, match=where) as err:
         monte_carlo(cfg, dom, _GROWTH, nz, Field.zero(dom), 14, 8, ("mode_1",), chunk=chunk)
     assert (err.value.path, err.value.step) == (None, first)
 
@@ -564,17 +583,17 @@ def test_T_zero_single_state():
     X0 = Field.from_values(dom, np.sin(np.pi * dom.x))
     tr = simulate(cfg, dom, PME, ZERO_NOISE, X0, 0)
     assert len(tr.states) == 1
-    np.testing.assert_array_equal(tr.states[0].coeffs[:4], X0.coeffs[:4])
-    np.testing.assert_array_equal(tr.states[0].coeffs[4:], 0.0)
+    np.testing.assert_array_equal(tr.states[0][:4], X0.coeffs[:4])
+    np.testing.assert_array_equal(tr.states[0][4:], 0.0)
 
 
 def test_stability_guard_rejects_coarse_dt():
     dom = SpectralDomain(16)
     X = Field.from_values(dom, np.random.default_rng(1).normal(0, 1, 16))
     plan = _StepPlan(StepperConfig(dt=0.1, T=0.1, n_modes=16), dom, PME, ZERO_NOISE)
-    with pytest.raises(StabilityError, match="reduce dt") as err:
+    with pytest.raises(StabilityError, match=r"reduce dt .* \(path 0\)$") as err:
         plan.step(0.0, X.coeffs[None], np.zeros((1, 1)))
-    assert (err.value.path, err.value.step) == (None, None)
+    assert (err.value.path, err.value.step) == (0, None)
 
 
 def test_stability_guard_refuses_singular_derivative():
@@ -599,7 +618,7 @@ def test_stability_guard_refuses_backward_diffusion():
     plan = _StepPlan(cfg, dom, backward, ZERO_NOISE)
     with pytest.raises(StabilityError, match=r"Psi' may be negative \(down to -2\.75\)") as err:
         plan.step(0.0, X0.coeffs[None], np.zeros((1, 1)))
-    assert (err.value.path, err.value.step) == (None, None)
+    assert (err.value.path, err.value.step) == (0, None)
     with pytest.raises(StabilityError, match="backward diffusion") as err:
         simulate(cfg, dom, backward, ZERO_NOISE, X0, 0, path_idx=4)
     assert (err.value.path, err.value.step) == (4, 1)
@@ -646,9 +665,9 @@ def test_discrete_energy_identity_exact():
     tr = simulate(cfg, dom, PME, ZERO_NOISE, X0, 3)
     for k in range(cfg.n_steps):
         Xk, Xk1 = tr.states[k], tr.states[k + 1]
-        A = drift_coeffs(dom, PME, k * cfg.dt, Xk.values, Xk.coeffs)
-        lhs = h_norm(dom, Xk1) ** 2 - h_norm(dom, Xk) ** 2
-        rhs = 2 * cfg.dt * dom.h_pair(A, Xk.coeffs) + cfg.dt**2 * dom.h_pair(A, A)
+        A = drift_coeffs(dom, PME, k * cfg.dt, dom.from_spectral(Xk), Xk)
+        lhs = dom.h_pair(Xk1, Xk1) - dom.h_pair(Xk, Xk)
+        rhs = 2 * cfg.dt * dom.h_pair(A, Xk) + cfg.dt**2 * dom.h_pair(A, A)
         assert abs(lhs - rhs) < 1e-14
 
 
@@ -667,7 +686,8 @@ def test_pair_distance_nonincreasing_monotone_additive():
     X0 = Field.from_values(dom, rng.normal(0, 1, 16))
     Y0 = Field.from_values(dom, rng.normal(0, 0.5, 16))
     tx, ty = simulate_pair(cfg, dom, PME, NoiseSpec(sigma=(0.1, 0.05)), X0, Y0, 11)
-    dist = [h_norm(dom, a - b) for a, b in zip(tx.states, ty.states)]
+    d = tx.coeff_matrix() - ty.coeff_matrix()
+    dist = np.sqrt(dom.h_pair(d, d))
     for k in range(len(dist) - 1):
         assert dist[k + 1] <= dist[k] + 1e-8
 
@@ -682,7 +702,8 @@ def test_pair_growth_bounded_by_h():
     X0 = Field.from_values(dom, rng.normal(0, 1, 8))
     Y0 = Field.from_values(dom, rng.normal(0, 1, 8))
     tx, ty = simulate_pair(cfg, dom, spec, NoiseSpec(sigma=(0.2,)), X0, Y0, 17)
-    dist = [h_norm(dom, a - b) for a, b in zip(tx.states, ty.states)]
+    d = tx.coeff_matrix() - ty.coeff_matrix()
+    dist = np.sqrt(dom.h_pair(d, d))
     for k in range(len(dist) - 1):
         assert dist[k + 1] <= dist[k] * math.exp(h_c * cfg.dt) * (1 + 1e-12)
         np.testing.assert_allclose(dist[k + 1], dist[k] * (1 + h_c * cfg.dt), rtol=1e-12)
@@ -757,6 +778,7 @@ def test_pair_failure_in_Y_row_names_path_0_and_its_step(case):
     assert (pair.value.path, pair.value.step) == (single.value.path, single.value.step)
     assert pair.value.path == 0
     assert str(pair.value) == str(single.value)
+    assert str(pair.value).endswith(f" (path 0, step {single.value.step})")
 
 
 def test_refinement_coupling_shrinks_error():
@@ -773,8 +795,7 @@ def test_refinement_coupling_shrinks_error():
     for dt, inc in ((dt0, inc0), (dt0 / 2, inc1), (dt0 / 4, inc2)):
         cfg = StepperConfig(dt=dt, T=T, n_modes=8)
         outs.append(simulate(cfg, dom, PME, nz, X0, 31, increments=inc).states[-1])
-    d_coarse = h_norm(dom, outs[0] - outs[2])
-    d_mid = h_norm(dom, outs[1] - outs[2])
+    d_coarse, d_mid = (dom.h_pair(d, d) for d in (outs[0] - outs[2], outs[1] - outs[2]))
     assert d_mid < d_coarse
 
 
@@ -791,7 +812,7 @@ def test_record_ito_contents(scheme):
     assert tr.increments.shape == (10, 2)
     for k in (0, 4, 9):
         Xk = tr.states[k]
-        A = drift_coeffs(dom, PME, k * cfg.dt, Xk.values, Xk.coeffs)
+        A = drift_coeffs(dom, PME, k * cfg.dt, dom.from_spectral(Xk), Xk)
         np.testing.assert_array_equal(tr.drift_record[k], A)
         np.testing.assert_array_equal(tr.diffusion_record[k], nz.sigma_array())
     np.testing.assert_array_equal(
@@ -799,9 +820,25 @@ def test_record_ito_contents(scheme):
     )
 
 
+def test_trajectory_states_are_the_coefficient_rows_of_the_steps():
+    # A run hands back plain (n_grid,) rows, one per saved time, which read
+    # back as the coefficient matrix.
+    dom = SpectralDomain(8)
+    nz = NoiseSpec(sigma=(0.2, 0.1))
+    cfg = StepperConfig(dt=1e-3, T=0.01, n_modes=8, scheme="semi-implicit")
+    X0 = Field.from_values(dom, np.sin(np.pi * dom.x))
+    runs = (simulate(cfg, dom, PME, nz, X0, 23),
+            *simulate_pair(cfg, dom, PME, nz, X0, Field.zero(dom), 23))
+    for tr in runs:
+        assert type(tr.states) is list and len(tr.states) == cfg.n_steps + 1
+        assert all(type(s) is np.ndarray and s.shape == (8,) for s in tr.states)
+        assert tr.coeff_matrix().tobytes() == np.stack(tr.states).tobytes()
+    np.testing.assert_array_equal(runs[0].states[0], X0.coeffs)
+
+
 def test_trajectory_validation():
     dom = SpectralDomain(4)
-    f = Field.zero(dom)
+    f = np.zeros(4)
     with pytest.raises(ValueError):
         Trajectory(dom=dom, times=np.array([0.0, 0.0]), states=[f, f], path_seed=(0, 0))
     with pytest.raises(ValueError):
@@ -842,8 +879,8 @@ def test_monte_carlo_matches_serial_simulate():
     firsts = []
     for p in range(6):
         tr = simulate(cfg, dom, PME, nz, X0, 5, p)
-        finals.append(h_norm(dom, tr.states[-1]) ** 2)
-        firsts.append(tr.states[-1].coeffs[0])
+        finals.append(dom.h_pair(tr.states[-1], tr.states[-1]))
+        firsts.append(tr.states[-1][0])
     np.testing.assert_allclose(st.mean_of("h_norm_sq")[-1], np.mean(finals), rtol=1e-13)
     np.testing.assert_allclose(st.mean_of("mode_1")[-1], np.mean(firsts), rtol=1e-13)
     assert st.n_paths == 6
@@ -885,8 +922,8 @@ def test_monte_carlo_pairs_match_serial_pairs(scheme):
         inc = increments_for_path(nz, cfg.n_steps, cfg.dt, 5, p)
         tx = simulate(cfg, dom, PME, nz, X0, 5, p, increments=inc)
         ty = simulate(cfg, dom, PME, nz, Y0, 5, p, increments=inc)
-        dists.append([h_norm(dom, tx.states[k] - ty.states[k]) ** 2
-                      for k in range(0, cfg.n_steps + 1, 20)])
+        d = tx.coeff_matrix()[::20] - ty.coeff_matrix()[::20]
+        dists.append(dom.h_pair(d, d))
     np.testing.assert_allclose(st.mean_of("dist_sq"), np.mean(dists, axis=0), rtol=1e-13)
 
 
@@ -995,10 +1032,11 @@ def test_monte_carlo_memory_does_not_grow_with_steps(monkeypatch):
 
 
 def test_monte_carlo_holds_at_most_two_increment_blocks(monkeypatch):
-    # Ten blocks of 64 steps (32 KiB each) against one step: the run may add
-    # its two blocks and a few batch-sized state arrays, not a third block.
-    # An untraced ensemble first takes the one-time allocations of the first
-    # ensemble in a process, which would otherwise land on one side only.
+    # Ten blocks of 64 steps (32 KiB each) against two: both runs start the
+    # worker and fill both blocks, so the longer run may add allocator noise
+    # (0.3-1 KB measured), not a third block.  An untraced ensemble first
+    # takes the one-time allocations of the first ensemble in a process,
+    # which would otherwise land on one side only.
     dom = SpectralDomain(8)
     nz = NoiseSpec(sigma=(0.1,) * 8)
     P = 8
@@ -1018,9 +1056,8 @@ def test_monte_carlo_holds_at_most_two_increment_blocks(monkeypatch):
             tracemalloc.stop()
 
     run(640)
-    states = 8 * P * dom.n_grid * 8
-    long, short, limit = peak(640), peak(1), 2 * galerkin._BLOCK_BYTES + states
-    assert long - short <= limit, f"peak(640) {long} - peak(1) {short} > {limit} B"
+    long, short, limit = peak(640), peak(128), galerkin._BLOCK_BYTES // 2
+    assert long - short <= limit, f"peak(640) {long} - peak(128) {short} > {limit} B"
 
 
 def _fail_at_step(monkeypatch, k_fail, error):
@@ -1031,7 +1068,7 @@ def _fail_at_step(monkeypatch, k_fail, error):
         if round(t / self.config.dt) == k_fail:
             if error is BlowUpError:
                 return np.full_like(C, np.nan), None
-            raise error("injected") if error is StabilityError else error("injected", path=0)
+            raise error("injected", path=0)
         return step(self, t, C, dW, records)
 
     monkeypatch.setattr(_StepPlan, "step", failing)
@@ -1062,6 +1099,37 @@ def test_monte_carlo_joins_its_producer_on_every_exit(monkeypatch, error):
     assert info.value.step == 14
     assert calls["increments_for_path"] == 5
     assert threading.active_count() == before
+
+
+def test_monte_carlo_draws_its_first_block_on_the_calling_thread(monkeypatch):
+    # Block 0 is drawn on the caller's thread, so a one-block batch starts no
+    # thread; with five blocks one worker draws the other four.  Every draw
+    # goes through the module global increments_for_path, which a tracer
+    # rebinds.  The numbers do not depend on the blocking.
+    dom, _, X0, cfg = _small_setup()
+    cfg = StepperConfig(dt=cfg.dt, T=20 * cfg.dt, n_modes=cfg.n_modes)
+    nz, P = NoiseSpec(sigma=(0.1, 0.05)), 3
+    draw, start, drawn_on, started = galerkin.increments_for_path, threading.Thread.start, [], []
+
+    def spy_draw(*args, **kwargs):
+        drawn_on.append(threading.current_thread())
+        return draw(*args, **kwargs)
+
+    def spy_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(galerkin, "increments_for_path", spy_draw)
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    me = threading.current_thread()
+    one = monte_carlo(cfg, dom, LINEAR, nz, X0, 5, P, ("h_norm_sq",))
+    assert drawn_on == [me] and started == []
+    drawn_on.clear()
+    monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 4 * P * 2 * 8)
+    five = monte_carlo(cfg, dom, LINEAR, nz, X0, 5, P, ("h_norm_sq",))
+    assert len(drawn_on) == 5 and drawn_on[0] is me and len(started) == 1
+    assert all(t is started[0] for t in drawn_on[1:])
+    assert five.mean.tobytes() == one.mean.tobytes()
 
 
 def test_concurrent_ensembles_keep_their_bits_under_fast_switching(monkeypatch):
@@ -1215,7 +1283,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert lines[0] == "t,mode_1,mode_2,mode_3,mode_4"
     assert len(lines) == 5
     row = lines[2].split(",")
-    assert float(row[1]) == tr.states[1].coeffs[0]
+    assert float(row[1]) == tr.states[1][0]
 
 
 def test_stat_table_unknown_column():

@@ -84,6 +84,30 @@ def test_ito_ledger_stochastic_gap_is_small():
     assert max_res < 0.05 * scale
 
 
+@pytest.mark.parametrize("mult", [None, RhoFactor(0.2, 1.5)], ids=["additive", "rho"])
+@pytest.mark.parametrize("scheme", ["explicit", "semi-implicit"])
+@pytest.mark.parametrize("n_modes", [6, 3])
+def test_ito_ledger_books_only_the_noise_the_step_keeps(n_modes, scheme, mult):
+    # Zero drift and six noise modes: each step adds the noise of the first
+    # n_modes modes and drops the rest, so the ledger residual is the kept
+    # modes' sum over steps j of (rho_j sigma_k)^2 (dW_jk^2 - dt) / lam_k, to
+    # rounding.  Booking all six modes at n_modes 3 is off by about
+    # -T sum_{k>3} sigma_k^2 / lam_k (-2.5e-3 here), however small dt is.
+    dom = SpectralDomain(6)
+    noise = NoiseSpec(sigma=(0.5,) * 6, mult=mult)
+    cfg = StepperConfig(dt=1e-3, T=0.5, n_modes=n_modes, scheme=scheme, record_ito=True)
+    X0 = Field.from_values(dom, 1.8 * np.exp(-((dom.x - 0.5) / 0.15) ** 2))
+    traj = simulate(cfg, dom, NO_DRIFT, noise, X0, 1)
+    led = ito_ledger(traj)
+    X = traj.coeff_matrix()[:-1]
+    rho = np.ones(len(X)) if mult is None else mult(np.sqrt(dom.h_pair(X, X)))
+    weight = (rho[:, None] * noise.sigma_array()[:n_modes]) ** 2 / dom.lam[:n_modes]
+    expect = np.cumsum(np.sum(weight * (traj.increments[:, :n_modes] ** 2 - cfg.dt), axis=1))
+    np.testing.assert_array_equal(traj.diffusion_record[:, n_modes:], 0.0)
+    np.testing.assert_allclose(led.residuals[1:], expect, rtol=0,
+                               atol=1e-12 * np.max(led.h_norm_sq))
+
+
 def _whole_matrix_ledger(traj):
     """The ledger's per-step terms evaluated on the whole coefficient matrix at once."""
     dom, X = traj.dom, traj.coeff_matrix()
