@@ -17,19 +17,22 @@ transform (matrix-vector product) and a batched one (matrix-matrix product)
 may differ in the last bits.  So a ``simulate_pair`` trajectory agrees with
 its own ``simulate`` run up to rounding.
 
-scipy is needed only by the semi-implicit scheme: its LAPACK ``gtsv`` is
-imported at the first tridiagonal solve, so a process that never takes a
-semi-implicit step (explicit runs, the condition certificates, the OU closed
-form) never loads scipy, whose import costs more than numpy's.
+The semi-implicit scheme's tridiagonal solves call LAPACK ``dgtsv`` in the
+OpenBLAS that numpy ships and has already loaded (``scipy_dgtsv_64_``, with
+64-bit integers), through ctypes, so no run loads scipy.  The routine is
+looked up at the first solve; with a numpy that ships no such library, the
+solves fall back to scipy's ``dgtsv``, imported then.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -231,30 +234,71 @@ def _tridiag_L(vals: np.ndarray, h: float) -> np.ndarray:
 
 
 @functools.cache
-def _dgtsv():
-    """scipy's LAPACK ``dgtsv``, imported at the first call."""
-    from scipy.linalg.lapack import dgtsv
+def _gtsv():
+    """``gtsv(w) -> info``: LAPACK ``dgtsv`` on a ``solve_banded`` array, found at the first call.
 
-    return dgtsv
-
-
-def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_banded((1, 1), ab, b)`` without its per-call dispatch.
-
-    The same finiteness check, errors and LAPACK ``gtsv`` call (a 1x1 system
-    is divided out), so the solution is bitwise scipy's.  The finiteness
-    error is a ``ValueError`` of its own type, so the Newton loop can tell
-    it apart.  scipy is imported at the first system that passes the check
-    and is larger than 1x1, and only then: no other spme code needs it.
+    The routine of the OpenBLAS in numpy's wheel (64-bit integers), which
+    numpy has already loaded, so opening it maps nothing new; it is called
+    through ctypes, which releases the GIL.  For a numpy that ships no such
+    library, scipy's ``dgtsv``, imported here.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+    root = Path(np.__file__).parent
+    libs = sorted([*root.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                   *root.glob(".dylibs/libscipy_openblas64_*")])
+    try:
+        dgtsv = ctypes.CDLL(str(libs[0]))["scipy_dgtsv_64_"]
+    except (IndexError, OSError, AttributeError):
+        from scipy.linalg.lapack import dgtsv as scipy_dgtsv
+
+        def gtsv(w):
+            w[3], info = scipy_dgtsv(w[2, :-1], w[1], w[0, 1:], w[3])[3:]
+            return info
+
+        return gtsv
+    # A c_int64 passed for an integer pointer goes by reference.
+    int64, int_p = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)
+    dgtsv.restype = None
+    dgtsv.argtypes = (int_p, int_p) + (ctypes.c_void_p,) * 4 + (int_p, int_p)
+    address, char, nrhs = ctypes.addressof, ctypes.c_char, int64(1)  # LAPACK only reads NRHS
+
+    def gtsv(w):
+        p, s = address(char.from_buffer(w)), w.strides[0]
+        n, info = int64(w.shape[1]), int64()
+        # N, NRHS, DL, D, DU, B, LDB, INFO; DL, D, DU and B are rows 2, 1,
+        # 0 from its second entry, and 3.
+        dgtsv(n, nrhs, p + 2 * s, p + s, p + 8, p + 3 * s, n, info)
+        return info.value
+
+    return gtsv
+
+
+def solve_banded(w: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_banded((1, 1), w[:3], w[3])``, in place.
+
+    ``w`` is a C-contiguous (4, N) float64 array: rows 0-2 the matrix in
+    scipy's banded form (row 0 the super-diagonal in its last N-1 entries,
+    row 1 the diagonal, row 2 the sub-diagonal in its first N-1), row 3 the
+    right side.  Every band is then a contiguous vector, as LAPACK ``gtsv``
+    takes it, so nothing is copied.  Returns row 3, which holds the
+    solution; rows 0-2 are left as scratch.  The same finiteness check (of
+    every entry, the two unused corners too), errors and LAPACK call as
+    scipy's (a 1x1 system is divided out), so the solution is bitwise
+    scipy's.  The finiteness error is a ``ValueError`` of its own type, so
+    the Newton loop can tell it apart; ``w`` is untouched then.
+    """
+    if w.dtype != np.float64 or w.ndim != 2 or len(w) != 4 or not w.flags.c_contiguous:
+        raise ValueError("w must be a C-contiguous (4, N) float64 array")
+    if not np.isfinite(w).all():
         raise _NonFiniteSystem("array must not contain infs or NaNs")
-    if len(b) == 1:
-        return b / ab[1]
-    x, info = _dgtsv()(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    if w.shape[1] == 1:
+        w[3] /= w[1]
+        return w[3]
+    info = _gtsv()(w)
     if info > 0:
         raise LinAlgError("singular matrix")
-    return x
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return w[3]
 
 
 def _implicit_residual(psi, t, u, b, dt, h):
@@ -275,9 +319,12 @@ def _newton_implicit(dom, psi, t, b, dt, tol, max_iter):
     in its Jacobian or residual, which the banded solve refuses) comes back
     NaN, for the time loop to report as a blow-up; the iteration is taken
     again for the other rows, and not counted, so each keeps the budget of
-    its own solve.
+    its own solve.  Each iteration assembles its system in ``solve_banded``'s
+    layout in one work array of the call (in its leading entries once rows
+    have converged), which the solve overwrites.
     """
     h, gamma = dom.h, dt / dom.h**2
+    work = np.empty((4,) + b.shape)
     u = b.copy()
     res, rnorm = _implicit_residual(psi, t, u, b, dt, h)
     r_best = rnorm.copy()
@@ -293,16 +340,17 @@ def _newton_implicit(dom, psi, t, b, dt, tol, max_iter):
         ua, ra, ba, r0 = (u, res, b, rnorm) if full else (u[act], res[act], b[act], rnorm[act])
         k, n = ua.shape
         pp = np.minimum(psi_prime(psi, t, ua), 1.0 / _JACOBIAN_FLOOR)
-        ab = np.empty((3, k, n))
-        np.multiply(pp, -gamma, out=ab[0])
-        ab[2] = ab[0]
-        ab[0, :, 0] = ab[2, :, -1] = 0.0  # no coupling between rows
-        np.multiply(pp, 2.0 * gamma, out=ab[1])
-        ab[1] += 1.0
+        w = work if full else work.reshape(-1)[:4 * k * n].reshape(4, k, n)
+        np.multiply(pp, -gamma, out=w[0])
+        w[2] = w[0]
+        w[0, :, 0] = w[2, :, -1] = 0.0  # no coupling between rows
+        np.multiply(pp, 2.0 * gamma, out=w[1])
+        w[1] += 1.0
+        np.negative(ra, out=w[3])
         try:
-            du = solve_banded(ab.reshape(3, k * n), -ra.ravel()).reshape(k, n)
+            du = solve_banded(w.reshape(4, k * n)).reshape(k, n)
         except _NonFiniteSystem:
-            bad = act[~(np.isfinite(ab).all(axis=(0, 2)) & np.isfinite(ra).all(axis=-1))]
+            bad = act[~np.isfinite(w).all(axis=(0, 2))]
             u[bad], rnorm[bad] = np.nan, 0.0  # NaN, and out of the active set
             continue
         it += 1
@@ -351,11 +399,14 @@ class _StepPlan:
         self.config, self.dom, self.drift, self.noise = config, dom, drift, noise
         self.sigma = noise.sigma_array()
         self.phi0 = bool(drift.phi.phi0_terms)
-        # With every sigma_k = 0 and no Phi_0 terms the implicit right side
+        # The noise of the modes from n_modes on is dropped by the step, so it
+        # is not synthesised either: through Psi it would move the kept modes.
+        self.kept = min(noise.n_modes, config.n_modes)
+        # With every kept sigma_k = 0 and no Phi_0 terms the implicit right side
         # b = values + dt * rhs holds no -0.0 (rhs has +0.0 added), so adding
         # the synthesis of the +-0 noise coefficients would change no bit.
         # The explicit step adds it: there + noise can turn -0.0 into +0.0.
-        self.adds_noise = self.explicit or self.phi0 or bool(self.sigma.any())
+        self.adds_noise = self.explicit or self.phi0 or bool(self.sigma[:self.kept].any())
         # Additive noise: the ledger record rho sigma is sigma on every row,
         # 0 on the modes the step drops.
         self._kept_sigma = np.where(np.arange(len(self.sigma)) < config.n_modes, self.sigma, 0.0)
@@ -380,8 +431,10 @@ class _StepPlan:
             z = noise.mult(np.sqrt(dom.h_pair(C, C)))[:, None] * self.sigma
         if self.adds_noise:
             noise_c = np.zeros(C.shape)
-            blocks = noise_c.reshape(-1, len(dW), dom.n_grid)[..., :noise.n_modes]
-            blocks[...] = (z if noise.mult is None else z.reshape(blocks.shape)) * dW
+            q = self.kept
+            blocks = noise_c.reshape(-1, len(dW), dom.n_grid)[..., :q]
+            amp = z[:q] if noise.mult is None else z[:, :q].reshape(blocks.shape)
+            blocks[...] = amp * dW[:, :q]
         values = dom.from_spectral(C)
         if self.explicit:
             s_max = float(np.abs(values).max())

@@ -106,12 +106,10 @@ def test_no_seed_anywhere_is_config_error(tmp_path, monkeypatch, capsys):
 
 
 def test_import_loads_no_heavy_scipy_subpackage(tmp_path):
-    # Only the semi-implicit scheme needs scipy: LAPACK gtsv, in its Newton
-    # solve.  Importing spme, an explicit run, an ensemble that draws on its
-    # worker thread and the A2 certificates load no scipy module at all; the
-    # first semi-implicit step loads scipy.linalg, and still none of the larger
-    # subpackages, which add import time and memory to every run.
-    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.special"]
+    # No spme code path loads scipy: importing spme, an explicit run, an
+    # ensemble that draws on its worker thread, the A2 certificates and a
+    # semi-implicit step (whose Newton solve calls the LAPACK gtsv that numpy
+    # has loaded) leave no scipy module, whose import adds time and memory.
     cfg = _write_config(tmp_path, drift={"mode": "A2",
                                          "psi": {"terms": [[1.0, 1.0], [1.0, 3.0]]},
                                          "phi": {"phi0_terms": [[1.0, 1.0]]}})
@@ -142,12 +140,11 @@ assert cli.main({argv!r}) == 0
 print(scipy_modules())
 implicit = StepperConfig(dt=1e-3, T=1e-3, n_modes=8, scheme="semi-implicit")
 _StepPlan(implicit, dom, pme, noise).step(0.0, X0.coeffs[None], np.full((1, 2), 0.01))
-loaded = scipy_modules()
-print("scipy.linalg.lapack" in loaded, [m for m in {heavy!r} if m in loaded])
+print(scipy_modules())
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[]", "True []"]
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_check_conditions_pass_and_fail(tmp_path, capsys):

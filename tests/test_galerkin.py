@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -191,6 +192,24 @@ def test_step_records_one_diffusion_row_per_batch_row():
             _, (A, z) = plan.step(0.0, np.zeros((rows, 8)), np.zeros((P, 2)), records=True)
             assert A.shape == (rows, 8) and z.shape == (rows, 2)
             assert (z == nz.sigma_array()).all()  # rho(0) = 1
+
+
+@pytest.mark.parametrize("mult", [None, RhoFactor(0.5, 1.5)], ids=["additive", "rho"])
+@pytest.mark.parametrize("scheme", ["explicit", "semi-implicit"])
+def test_noise_of_the_dropped_modes_moves_no_kept_mode(scheme, mult):
+    # The step keeps modes 1..n_modes, so the noise of the later modes is
+    # not synthesised either: through Psi it would move the kept modes.
+    # Given 8-mode increments, a 4-mode run is the run given their first 4.
+    dom = SpectralDomain(16)
+    sigma = tuple(0.5 / k for k in range(1, 9))
+    cfg = StepperConfig(dt=1e-4, T=0.02, n_modes=4, scheme=scheme)
+    X0 = Field.from_values(dom, 0.5 * np.sin(np.pi * dom.x))
+    dW = increments_for_path(NoiseSpec(sigma=sigma), cfg.n_steps, cfg.dt, 1, 0)
+    wide = simulate(cfg, dom, PME, NoiseSpec(sigma=sigma, mult=mult), X0, 1, increments=dW)
+    narrow = simulate(cfg, dom, PME, NoiseSpec(sigma=sigma[:4], mult=mult), X0, 1,
+                      increments=dW[:, :4])
+    assert wide.coeff_matrix().tobytes() == narrow.coeff_matrix().tobytes()
+    assert np.abs(wide.coeff_matrix()[-1, :4] - wide.coeff_matrix()[0, :4]).max() > 1e-3
 
 
 def test_semi_implicit_requires_full_laplacian():
@@ -1334,48 +1353,125 @@ def test_drift_norm_sq_observable():
     assert st.mean_of("drift_norm_sq")[0] == pytest.approx(expect, rel=1e-12)
 
 
-@pytest.mark.parametrize("k, n", [(k, n) for k in (1, 3, 200) for n in (2, 32, 257)])
-def test_solve_banded_is_scipys_tridiagonal_solve(k, n):
+_SYSTEM_SIZES = [(k, n) for k in (1, 3, 200) for n in (2, 32, 257)]
+
+
+def _tridiagonal_system(k, n):
     # k independent rows of n unknowns in one band: the coupling entries
     # between rows are zero, as in the Newton solve.
     rng = np.random.default_rng(k * 1000 + n)
     ab = rng.normal(0.0, 1.0, (3, k, n))
     ab[1] += 4.0
     ab[0, :, 0] = ab[2, :, -1] = 0.0
-    ab = ab.reshape(3, k * n)
-    b = rng.normal(0.0, 1.0, k * n)
-    kept = ab.copy(), b.copy()
-    x = galerkin.solve_banded(ab, b)
+    return ab.reshape(3, k * n), rng.normal(0.0, 1.0, k * n)
+
+
+def _assert_scipys_solve(k, n):
+    ab, b = _tridiagonal_system(k, n)
+    w = np.vstack([ab, b])
+    x = galerkin.solve_banded(w)
     assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes()
-    assert ab.tobytes() == kept[0].tobytes() and b.tobytes() == kept[1].tobytes()
+    # In place: the solution is row 3 of the array it was given.
+    assert np.shares_memory(x, w) and x.tobytes() == w[3].tobytes()
 
 
-def test_solve_banded_keeps_scipys_errors():
+def _assert_scipys_errors():
     ab = np.array([[0.0, -1.0, -1.0], [4.0, 4.0, 4.0], [-1.0, -1.0, 0.0]])
     b = np.ones(3)
-    # Every entry of ab is checked, the unused corners too.
+    # Every entry of ab is checked, the unused corners too; a refused
+    # system is left as it was.
     for where in ((0, 0), (1, 1), (2, 2)):
         for bad in (np.nan, np.inf):
             worse = ab.copy()
             worse[where] = bad
             for args in ((worse, b), (ab, np.where(np.arange(3) == where[1], bad, b))):
+                w = np.vstack(args)
+                kept = w.tobytes()
                 with pytest.raises(ValueError) as ours:
-                    galerkin.solve_banded(*args)
+                    galerkin.solve_banded(w)
                 with pytest.raises(ValueError) as ref:
                     solve_banded((1, 1), *args)
                 assert str(ours.value) == str(ref.value) == "array must not contain infs or NaNs"
+                assert w.tobytes() == kept
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        galerkin.solve_banded(np.zeros((3, 4)), np.ones(4))
+        galerkin.solve_banded(np.vstack([np.zeros((3, 4)), np.ones(4)]))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         solve_banded((1, 1), np.zeros((3, 4)), np.ones(4))
+    # A 1x1 system is divided out, as scipy does.
+    one = np.array([[0.0], [3.0], [0.0], [2.0]])
+    expect = solve_banded((1, 1), one[:3], one[3])
+    assert galerkin.solve_banded(one).tobytes() == expect.tobytes()
 
 
-def _lazy_run():
+@pytest.mark.parametrize("k, n", _SYSTEM_SIZES)
+def test_solve_banded_is_scipys_tridiagonal_solve(k, n):
+    _assert_scipys_solve(k, n)
+
+
+def test_solve_banded_keeps_scipys_errors():
+    _assert_scipys_errors()
+
+
+def test_solve_banded_refuses_an_array_it_cannot_hand_to_lapack():
+    # LAPACK reads each band as a contiguous vector of doubles.
+    w = np.vstack([np.zeros((3, 4)), np.ones(4)])
+    w[1] = 4.0
+    for bad in (w.astype(np.float32), w[:3], w[:, ::2], np.asfortranarray(w), w.ravel()):
+        with pytest.raises(ValueError, match=r"C-contiguous \(4, N\) float64"):
+            galerkin.solve_banded(bad)
+
+
+def test_solve_banded_raises_on_an_illegal_lapack_argument(monkeypatch):
+    # A negative INFO names the argument LAPACK refused; it is never a solution.
+    monkeypatch.setattr(galerkin, "_gtsv", lambda: lambda w: -7)
+    ab, b = _tridiagonal_system(1, 4)
+    with pytest.raises(ValueError, match="illegal value in 7-th argument of internal gtsv"):
+        galerkin.solve_banded(np.vstack([ab, b]))
+
+
+@pytest.fixture
+def scipy_gtsv(monkeypatch):
+    """Solves through scipy's dgtsv, as on a numpy that ships no OpenBLAS library.
+
+    Opening any library fails, so the lookup of numpy's does; the count is
+    of scipy dgtsv calls.
+    """
+    from scipy.linalg import lapack
+
+    def no_library(*args, **kwargs):
+        raise OSError("no such library")
+
+    reference, calls = lapack.dgtsv, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return reference(*args, **kwargs)
+
+    monkeypatch.setattr(galerkin.ctypes, "CDLL", no_library)
+    monkeypatch.setattr(lapack, "dgtsv", counted)
+    galerkin._gtsv.cache_clear()
+    yield calls
+    galerkin._gtsv.cache_clear()
+
+
+@pytest.mark.parametrize("k, n", _SYSTEM_SIZES)
+def test_scipy_fallback_is_the_same_solve(scipy_gtsv, k, n):
+    _assert_scipys_solve(k, n)
+    assert scipy_gtsv[0] == 1
+
+
+def test_scipy_fallback_keeps_the_errors(scipy_gtsv):
+    _assert_scipys_errors()
+    assert scipy_gtsv[0] == 1  # the singular system; the others never reach LAPACK
+
+
+def _lazy_run(count=True):
     """A semi-implicit noisy PME pair and 2-path ensemble on 32 points.
 
     Returns the sha256 of every state and moment byte and the number of
-    ``solve_banded`` calls.  Self-contained, so that a fresh interpreter can
-    run its source.
+    ``solve_banded`` calls, counted by rebinding the module global (0 with
+    ``count`` unset, which rebinds nothing, so threads may run it at once).
+    Self-contained, so that a fresh interpreter can run its source.
     """
     import hashlib
 
@@ -1398,7 +1494,8 @@ def _lazy_run():
     cfg = galerkin.StepperConfig(dt=5e-3, T=0.05, n_modes=32, scheme="semi-implicit")
     X0 = Field.from_values(dom, np.sin(np.pi * dom.x))
     digest = hashlib.sha256()
-    galerkin.solve_banded = counted
+    if count:
+        galerkin.solve_banded = counted
     try:
         for traj in galerkin.simulate_pair(cfg, dom, pme, noise, X0, Field.zero(dom), 7):
             digest.update(traj.coeff_matrix().tobytes())
@@ -1406,43 +1503,86 @@ def _lazy_run():
         for moments in (st.mean, st.var, st.se):
             digest.update(moments.tobytes())
     finally:
-        galerkin.solve_banded = solve
+        if count:
+            galerkin.solve_banded = solve
     return digest.hexdigest(), calls[0]
 
 
-def test_scipy_is_imported_at_the_first_solve_and_changes_no_bit():
-    # A fresh interpreter loads scipy at its first tridiagonal solve, not
-    # before: not for a refused system, nor for a 1x1 one.  Its semi-implicit
-    # runs match this process's (which imported scipy at the start) bitwise,
-    # with the same number of solves, and a singular system is still refused.
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_semi_implicit_runs_load_no_scipy_and_change_no_bit(tmp_path):
+    # A fresh interpreter solves with the LAPACK numpy has loaded: its
+    # semi-implicit pair, ensemble and README `simulate` load no scipy
+    # module at all.  They match this process's runs (which imported scipy
+    # at the start) bitwise, with the same number of solves; refused, 1x1
+    # and singular systems behave as before.
+    config = tmp_path / "config.json"
+    config.write_text(re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
+    argv = ["simulate", "--config", str(config), "--out"]
     script = inspect.getsource(_lazy_run) + f"""
 import sys
 sys.path.insert(0, {str(Path(galerkin.__file__).parents[1])!r})
 import numpy as np
 import spme.galerkin as galerkin
+from spme import cli
 
-def scipy_loaded():
-    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 try:
-    galerkin.solve_banded(np.full((3, 4), np.nan), np.ones(4))
+    galerkin.solve_banded(np.full((4, 4), np.nan))
 except galerkin._NonFiniteSystem as err:
     print(err)
-print(galerkin.solve_banded(np.ones((3, 1)), np.full(1, 2.0)), scipy_loaded())
-print(*_lazy_run(), scipy_loaded())
+print(galerkin.solve_banded(np.array([[0.0], [4.0], [0.0], [2.0]])))
+print(*_lazy_run())
 try:
-    galerkin.solve_banded(np.zeros((3, 4)), np.ones(4))
+    galerkin.solve_banded(np.vstack([np.zeros((3, 4)), np.ones(4)]))
 except np.linalg.LinAlgError as err:
     print(err)
+print(cli.main({argv + [str(tmp_path / "fresh")]!r}))
+print(scipy_modules())
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     with pytest.raises(ValueError) as ref:
         solve_banded((1, 1), np.full((3, 4), np.nan), np.ones(4))
     digest, calls = _lazy_run()
-    assert calls > 0 and "scipy.linalg.lapack" in sys.modules
-    assert proc.stdout.splitlines() == [str(ref.value), "[2.] False", f"{digest} {calls} True",
-                                        "singular matrix"]
+    assert calls > 0 and "scipy.linalg" in sys.modules
+    lines = proc.stdout.splitlines()
+    assert lines[:4] == [str(ref.value), "[0.5]", f"{digest} {calls}", "singular matrix"]
+    assert lines[4].startswith("PASS simulate") and lines[5:] == ["0", "[]"]
+    from spme import cli
+
+    assert cli.main(argv + [str(tmp_path / "here")]) == 0
+    fresh = sorted((tmp_path / "fresh").iterdir())
+    assert [p.name for p in fresh] == ["manifest.json", "stats.csv", "trajectory.csv"]
+    for path in fresh:
+        assert path.read_bytes() == (tmp_path / "here" / path.name).read_bytes(), path.name
+
+
+def test_semi_implicit_runs_on_two_threads_keep_their_bits():
+    # The foreign LAPACK call releases the GIL: two threads solving at once,
+    # switching every microsecond, must each get the one-thread digest.
+    expect = _lazy_run(count=False)[0]
+    got, start = [], threading.Barrier(2)
+
+    def run():
+        start.wait()
+        got.extend(_lazy_run(count=False)[0] for _ in range(5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run) for _ in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [expect] * 10
 
 
 def _count_calls(monkeypatch, names, record=None):
